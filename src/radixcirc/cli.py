@@ -195,14 +195,12 @@ def run_verify(args) -> int:
 
     if kind in COMPRESS_KINDS:
         # Round trip: decompression must restore every binary input.
-        scheme = cmp.SCHEME_231 if kind == "compress231" else cmp.SCHEME_241
         back, _ = sim.run_batch(ir.inverse(built_circ) if args.circuit is None else ir.inverse(circ), out)
         bad = np.nonzero((back != ins).any(axis=1))[0]
         if bad.size:
             i = int(bad[0])
             print(f"FAIL {kind}: decompress(compress(x)) != x at x={','.join(map(str, ins[i]))}")
             return EXIT_COUNTEREXAMPLE
-        del scheme
     print(f"PASS {kind}: {ins.shape[0]} cases")
     return EXIT_PASS
 
@@ -262,10 +260,6 @@ def cmd_stats(args) -> int:
     return EXIT_PASS
 
 
-def cmd_verify(args) -> int:
-    return run_verify(args)
-
-
 # --- argument parsing ------------------------------------------------------
 
 def _add_build_flags(p: argparse.ArgumentParser) -> None:
@@ -298,7 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=run_verify)
 
     p = sub.add_parser("stats", help="print a resource report for a circuit file")
     p.add_argument("circuit", help="circuit JSON path")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
 
 FLIP = "flip"
@@ -139,25 +140,28 @@ class Circuit:
         return tuple(w.dim for w in self.wires)
 
     def validate_gate(self, g: Gate) -> None:
-        dims = self.dims
+        # Reads only the wires the gate touches, so validation is O(1) per gate.
+        wires = self.wires
+        width = len(wires)
         for w in g.wires():
-            if not 0 <= w < self.width:
+            if not 0 <= w < width:
                 raise CircuitError(f"gate touches unknown wire {w}")
         for w, v in g.controls:
-            if not 0 <= v < dims[w]:
-                raise CircuitError(f"control value {v} out of range for wire {w} (dim {dims[w]})")
+            d = wires[w].dim
+            if not 0 <= v < d:
+                raise CircuitError(f"control value {v} out of range for wire {w} (dim {d})")
         if g.kind == FLIP:
             i, j = g.params
-            d = dims[g.targets[0]]
+            d = wires[g.targets[0]].dim
             if i == j or not (0 <= i < d and 0 <= j < d):
                 raise CircuitError(f"flip({i},{j}) invalid on wire of dim {d}")
         elif g.kind == INCR:
             (k,) = g.params
-            d = dims[g.targets[0]]
+            d = wires[g.targets[0]].dim
             if not 0 < k < d:
                 raise CircuitError(f"incr({k}) invalid on wire of dim {d}")
         else:  # SWAP
-            d0, d1 = dims[g.targets[0]], dims[g.targets[1]]
+            d0, d1 = wires[g.targets[0]].dim, wires[g.targets[1]].dim
             if d0 != d1:
                 raise CircuitError(f"swap requires equal dims, got {d0} and {d1}")
 
@@ -214,8 +218,9 @@ def depth(c: Circuit) -> int:
     level = [0] * c.width
     d = 0
     for g in c.gates:
-        layer = 1 + max(level[w] for w in g.wires())
-        for w in g.wires():
+        touched = g.wires()
+        layer = 1 + max(level[w] for w in touched)
+        for w in touched:
             level[w] = layer
         d = max(d, layer)
     return d
@@ -239,16 +244,64 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 
 def circuit_from_dict(d: dict) -> Circuit:
+    """Inverse of ``circuit_to_dict``; every distinct gate is validated.
+
+    Repeats of a gate share one frozen ``Gate`` object, which is constructed
+    and validated once: validation depends only on the gate and the wires.
+    """
     wires = [Wire(i, w["name"], w["dim"]) for i, w in enumerate(d["wires"])]
     c = new_circuit(wires)
+    shared: dict[tuple, Gate] = {}
     for g in d["gates"]:
         controls = tuple((ct["wire"], ct["value"]) for ct in g.get("controls", []))
-        append_gate(c, Gate(g["kind"], tuple(g["targets"]), tuple(g["params"]), controls))
+        key = (g["kind"], tuple(g["targets"]), tuple(g["params"]), controls)
+        gate = shared.get(key)
+        if gate is None:
+            gate = shared[key] = Gate(*key)
+            c.validate_gate(gate)
+        c.gates.append(gate)
     return c
 
 
 def dumps(c: Circuit, indent: int | None = None) -> str:
-    return json.dumps(circuit_to_dict(c), indent=indent)
+    """The interchange text: exactly ``json.dumps(circuit_to_dict(c), indent=indent)``.
+
+    Written directly rather than through ``json``, whose pure-Python encoder
+    (forced by ``indent``) dominates the cost on large circuits.  Names are
+    escaped by the stdlib's own ASCII string encoder; gate fields are ints.
+    Each distinct gate is formatted once.
+    """
+    # brk[l] opens a line at nesting level l; sep[l] separates items at level l.
+    if indent is None:
+        brk, sep = [""] * 6, [", "] * 6
+    else:
+        brk = ["\n" + " " * (indent * level) for level in range(6)]
+        sep = ["," + b for b in brk]
+
+    def array(items: list[str], level: int) -> str:
+        if not items:
+            return "[]"
+        return "[" + brk[level + 1] + sep[level + 1].join(items) + brk[level] + "]"
+
+    def obj(fields: list[tuple[str, str]], level: int) -> str:
+        body = sep[level + 1].join(f'"{k}": {v}' for k, v in fields)
+        return "{" + brk[level + 1] + body + brk[level] + "}"
+
+    wires = [obj([("name", _encode_str(w.name)), ("dim", str(w.dim))], 2) for w in c.wires]
+    texts: dict[Gate, str] = {}
+    gates = []
+    for g in c.gates:
+        text = texts.get(g)
+        if text is None:
+            controls = [obj([("wire", str(w)), ("value", str(v))], 4) for w, v in g.controls]
+            text = texts[g] = obj([
+                ("kind", _encode_str(g.kind)),
+                ("targets", array([str(t) for t in g.targets], 3)),
+                ("params", array([str(p) for p in g.params], 3)),
+                ("controls", array(controls, 3)),
+            ], 2)
+        gates.append(text)
+    return obj([("wires", array(wires, 1)), ("gates", array(gates, 1))], 0)
 
 
 def loads(s: str) -> Circuit:

@@ -17,7 +17,6 @@ import numpy as np
 from .ir import FLIP, INCR, SWAP, Circuit, Gate
 
 STATEVECTOR_CAP = 1 << 20
-EXHAUSTIVE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,24 +56,33 @@ def _permute_digit(g: Gate, value: int, dim: int) -> int:
     return (value + g.params[0]) % dim
 
 
-def apply_gate(s: BasisState, g: Gate) -> BasisState:
-    """Apply one gate; identity unless every control matches."""
+def _apply(digits: list[int], dims: tuple[int, ...], g: Gate) -> None:
+    """Apply one gate to a mutable digit list; identity unless every control matches."""
     for w, v in g.controls:
-        if s.digits[w] != v:
-            return s
+        if digits[w] != v:
+            return
     if g.kind == SWAP:
         t0, t1 = g.targets
-        return s.replace({t0: s.digits[t1], t1: s.digits[t0]})
-    t = g.targets[0]
-    return s.replace({t: _permute_digit(g, s.digits[t], s.dims[t])})
+        digits[t0], digits[t1] = digits[t1], digits[t0]
+    else:
+        t = g.targets[0]
+        digits[t] = _permute_digit(g, digits[t], dims[t])
+
+
+def apply_gate(s: BasisState, g: Gate) -> BasisState:
+    """Apply one gate; identity unless every control matches."""
+    digits = list(s.digits)
+    _apply(digits, s.dims, g)
+    return BasisState(tuple(digits), s.dims)
 
 
 def run(c: Circuit, s: BasisState) -> BasisState:
     if s.dims != c.dims:
         raise ValueError("state dims do not match circuit wires")
+    digits = list(s.digits)
     for g in c.gates:
-        s = apply_gate(s, g)
-    return s
+        _apply(digits, s.dims, g)
+    return BasisState(tuple(digits), s.dims)
 
 
 def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Iterator[BasisState]:

@@ -1,9 +1,16 @@
+import itertools
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radixcirc import ir
+from radixcirc import block_builder as bb
+from radixcirc import compress as cmp
+from radixcirc import ir, resources
 from radixcirc.ir import Circuit, CircuitError, Gate, Wire
+from radixcirc.qubit_adders import AdderSpec, build_cla_adder, build_plus_k, build_ripple_adder
 
 
 def three_wires():
@@ -119,3 +126,145 @@ def test_loads_rejects_invalid_gate():
         ir.circuit_from_dict(doc)
     with pytest.raises(json.JSONDecodeError):
         ir.loads("{not json")
+
+
+# --- the direct JSON writer against the stdlib encoder ----------------------
+
+INDENTS = (None, 0, 2)
+CARRIES = list(itertools.product((False, True), repeat=2))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail at the first differing offset; pytest's own diff of large texts takes minutes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        lo = max(i - 30, 0)
+        pytest.fail(f"texts differ at offset {i}: got {got[lo:i + 30]!r}, want {want[lo:i + 30]!r}")
+
+
+def block_circuits():
+    """Every block scheme and mode at its smallest feasible n, all carry variants."""
+    for mode, scheme, n in [
+        (bb.MODE_AB, cmp.SCHEME_231, 21),
+        (bb.MODE_AB, cmp.SCHEME_241, 10),
+        (bb.MODE_PLUS_K, cmp.SCHEME_231, 78),
+        (bb.MODE_PLUS_K, cmp.SCHEME_241, 36),
+    ]:
+        plan = bb.plan_blocks(mode, scheme, n)
+        for ci, co in CARRIES:
+            if mode == bb.MODE_AB:
+                yield f"block-adder-{scheme.label}-n{n}-{ci}-{co}", bb.build_block_adder(plan, ci, co)
+            else:
+                k = int("10" * (n // 2), 2)
+                yield f"block-plus-k-{scheme.label}-n{n}-{ci}-{co}", bb.build_block_plus_k(plan, k, ci, co)
+
+
+def small_circuits():
+    for ci, co in CARRIES:
+        spec = AdderSpec(5, ci, co)
+        yield f"cla-{ci}-{co}", build_cla_adder(spec).circuit
+        yield f"plus-k-{ci}-{co}", build_plus_k(spec, 19).circuit
+        yield f"ripple-{ci}-{co}", build_ripple_adder(spec).circuit
+    yield "compress231", cmp.build_compress_231()
+    yield "compress241", cmp.build_compress_241()
+    yield "empty", ir.new_circuit([])
+    odd = ir.new_circuit([Wire(0, 'q"uote\nline\u00e9\u2603\\', 3), Wire(1, "", 3)])
+    yield "odd-names", ir.extend(odd, [ir.swap(0, 1), ir.incr(0, 2, [(1, 1)])])
+
+
+@pytest.mark.parametrize("circ", [pytest.param(c, id=name) for name, c in [*block_circuits(), *small_circuits()]])
+def test_dumps_matches_stdlib_encoder(circ):
+    for indent in INDENTS:
+        text = ir.dumps(circ, indent=indent)
+        assert_same_text(text, json.dumps(ir.circuit_to_dict(circ), indent=indent))
+    back = ir.loads(text)
+    assert back.wires == circ.wires
+    assert back.gates == circ.gates
+
+
+@st.composite
+def valid_circuits(draw):
+    dims = draw(st.lists(st.integers(2, 4), min_size=0, max_size=5))
+    names = draw(st.lists(st.text(max_size=4), min_size=len(dims), max_size=len(dims)))
+    c = ir.new_circuit([Wire(i, nm, d) for i, (nm, d) in enumerate(zip(names, dims))])
+    if not dims:
+        return c
+    for _ in range(draw(st.integers(0, 12))):
+        t = draw(st.integers(0, len(dims) - 1))
+        kind = draw(st.sampled_from([ir.FLIP, ir.INCR, ir.SWAP]))
+        same = [w for w in range(len(dims)) if w != t and dims[w] == dims[t]]
+        if kind == ir.SWAP and not same:
+            kind = ir.INCR
+        if kind == ir.FLIP:
+            i = draw(st.integers(0, dims[t] - 1))
+            j = draw(st.integers(0, dims[t] - 1).filter(lambda v: v != i))
+            targets, params = (t,), (i, j)
+        elif kind == ir.INCR:
+            targets, params = (t,), (draw(st.integers(1, dims[t] - 1)),)
+        else:
+            targets, params = (t, draw(st.sampled_from(same))), ()
+        pool = [w for w in range(len(dims)) if w not in targets]
+        ctrl_wires = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True)) if pool else []
+        controls = tuple((w, draw(st.integers(0, dims[w] - 1))) for w in ctrl_wires)
+        ir.append_gate(c, Gate(kind, targets, params, controls))
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_circuits(), st.sampled_from(INDENTS))
+def test_property_dumps_matches_stdlib_and_round_trips(c, indent):
+    text = ir.dumps(c, indent=indent)
+    assert_same_text(text, json.dumps(ir.circuit_to_dict(c), indent=indent))
+    back = ir.loads(text)
+    assert back.wires == c.wires
+    assert back.gates == c.gates
+
+
+def test_loads_shares_repeated_gates():
+    c = ir.new_circuit(ir.binary_wires(["a", "b"]))
+    ir.extend(c, [ir.cx(0, 1), ir.x(0), ir.cx(0, 1)])
+    back = ir.loads(ir.dumps(c))
+    assert back.gates == c.gates
+    assert back.gates[0] is back.gates[2]
+
+
+def test_loads_rejects_invalid_gate_after_repeats():
+    cx = {"kind": "flip", "targets": [1], "params": [0, 1], "controls": [{"wire": 0, "value": 1}]}
+    wires = [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}]
+    bad = [
+        {"kind": "incr", "targets": [0], "params": [5], "controls": []},
+        {"kind": "flip", "targets": [1], "params": [0, 1], "controls": [{"wire": 0, "value": 2}]},
+        {"kind": "flip", "targets": [2], "params": [0, 1], "controls": []},
+        {"kind": "swap", "targets": [0, 0], "params": [], "controls": []},
+    ]
+    assert len(ir.circuit_from_dict({"wires": wires, "gates": [cx] * 500}).gates) == 500
+    for g in bad:
+        with pytest.raises(CircuitError):
+            ir.circuit_from_dict({"wires": wires, "gates": [g]})
+        with pytest.raises(CircuitError):
+            ir.circuit_from_dict({"wires": wires, "gates": [cx] * 500 + [g] + [cx]})
+
+
+def test_ir_paths_read_dims_a_constant_number_of_times(monkeypatch):
+    """Build, dumps, loads, depth and report must not rebuild ``dims`` per gate."""
+    reads = []
+    dims = Circuit.dims
+
+    def counted(self):
+        reads.append(1)
+        return dims.fget(self)
+
+    monkeypatch.setattr(Circuit, "dims", property(counted))
+
+    def dims_reads(n):
+        reads.clear()
+        circ = bb.build_block_adder(bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n), carry_out=True)
+        back = ir.loads(ir.dumps(circ, indent=2))
+        ir.depth(back)
+        resources.report(back)
+        return len(reads), len(circ.gates)
+
+    small, small_gates = dims_reads(30)
+    large, large_gates = dims_reads(120)
+    assert large_gates > 4 * small_gates
+    assert small == large <= 4

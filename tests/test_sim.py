@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radixcirc import block_builder as bb
+from radixcirc import compress as cmp
 from radixcirc import ir, sim
 from radixcirc.ir import Wire
+from radixcirc.qubit_adders import AdderSpec, build_cla_adder
 
 
 def mixed_circuit():
@@ -139,3 +142,49 @@ def test_property_batch_and_statevector_agree(cs):
     assert tuple(batch[0]) == out.digits
     v = sim.run_statevector(c, sim.statevector_from_basis(s))
     assert v.amps[sim.state_index(out.digits, c.dims)] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
+@pytest.mark.parametrize("carry_in,carry_out", [(False, False), (False, True), (True, False), (True, True)])
+def test_scalar_run_matches_batch_and_big_int_on_flagship_adders(scheme, carry_in, carry_out):
+    n = 30
+    plan = bb.plan_blocks(bb.MODE_AB, scheme, n)
+    circ = bb.build_block_adder(plan, carry_in, carry_out)
+    rng = np.random.default_rng(3)
+    rows = []
+    for _ in range(12):
+        a, b = (int(v) for v in rng.integers(0, 1 << n, size=2))
+        cin = int(rng.integers(0, 2)) if carry_in else None
+        rows.append(bb.encode_input(plan, b, a, cin, carry_in, carry_out))
+    batch, _ = sim.run_batch(circ, np.array(rows))
+    for digits, batch_row in zip(rows, batch):
+        out = sim.run(circ, sim.basis_state(circ, digits))
+        assert out.digits == tuple(int(d) for d in batch_row)
+        a_in, b_in, _ = bb.decode_output(plan, digits, carry_in)
+        a_out, total, cout = bb.decode_output(plan, out.digits, carry_in, carry_out)
+        cin = digits[plan.registers * n] if carry_in else 0
+        assert a_out == a_in
+        assert total + ((cout or 0) << n) == (a_in + b_in + cin) % (1 << (n + carry_out))
+
+
+@pytest.mark.parametrize("circ", [
+    pytest.param(cmp.build_compress_231(), id="compress231"),
+    pytest.param(cmp.build_compress_241(), id="compress241"),
+    pytest.param(build_cla_adder(AdderSpec(2, True, True)).circuit, id="cla-2"),
+])
+def test_scalar_run_matches_batch_and_statevector(circ):
+    states = list(sim.interface_states(circ))
+    batch, _ = sim.run_batch(circ, np.array([s.digits for s in states]))
+    for s, batch_row in zip(states, batch):
+        out = sim.run(circ, s)
+        assert out.digits == tuple(int(d) for d in batch_row)
+        v = sim.run_statevector(circ, sim.statevector_from_basis(s))
+        assert v.amps[sim.state_index(out.digits, circ.dims)] == pytest.approx(1.0)
+
+
+def test_run_rejects_state_of_other_dims():
+    c = mixed_circuit()
+    with pytest.raises(ValueError):
+        sim.run(c, sim.BasisState((0, 0, 0), (2, 3, 3)))
+    with pytest.raises(ValueError):
+        sim.run(c, sim.BasisState((0, 0), (2, 3)))
