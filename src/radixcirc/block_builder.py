@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import compress as cmp
 from . import ir
-from .ir import Circuit, Gate, Wire, swap
+from .ir import Circuit, Gate, swap
 from .qubit_adders import (
     AdderSpec,
     AdderWiring,
@@ -46,6 +46,13 @@ class BlockPlan:
     n: int
     c: int
 
+    def __post_init__(self):
+        # Plans are also read back from sidecar JSON, so check the field types.
+        if self.mode not in (MODE_AB, MODE_PLUS_K):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if type(self.n) is not int or type(self.c) is not int or not 1 <= self.c <= self.n:
+            raise ValueError(f"plan needs ints 1 <= c <= n, got n={self.n!r}, c={self.c!r}")
+
     @property
     def registers(self) -> int:
         return 2 if self.mode == MODE_AB else 1
@@ -58,10 +65,24 @@ class BlockPlan:
     def block_wires(self) -> int:
         return self.registers * self.block_bits
 
+    def layout(self, carry_in: bool = False, carry_out: bool = False) -> AdderWiring:
+        """Where the registers live: a_i, b_i interleaved for A+B, all B for +K,
+        then the carry-in and carry-out."""
+        reg = tuple(range(self.registers * self.n))
+        a, b = (reg[0::2], reg[1::2]) if self.mode == MODE_AB else ((), reg)
+        cin = len(reg) if carry_in else None
+        cout = len(reg) + carry_in if carry_out else None
+        return AdderWiring(a, b, cin, cout)
+
+    def block_registers(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each block's slices of the A and B registers."""
+        layout, nb = self.layout(), self.block_bits
+        return [(layout.a[j * nb : (j + 1) * nb], layout.b[j * nb : (j + 1) * nb]) for j in range(self.c)]
+
     @property
     def blocks(self) -> list[list[int]]:
-        size = self.block_wires
-        return [list(range(j * size, (j + 1) * size)) for j in range(self.c)]
+        """Each block's register wires, ascending."""
+        return [sorted(a + b) for a, b in self.block_registers()]
 
     def block_layout(self, j: int) -> cmp.CompressedLayout:
         return cmp.layout_block(self.blocks[j], self.scheme)
@@ -132,8 +153,6 @@ def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan |
 class _Builder:
     def __init__(self, plan: BlockPlan, carry_in: bool, carry_out: bool, k: int | None):
         self.plan = plan
-        self.carry_in = carry_in
-        self.carry_out = carry_out
         self.k = k
         if plan.mode == MODE_PLUS_K:
             if k is None:
@@ -148,37 +167,13 @@ class _Builder:
                 f"provides {plan.ancilla_per_step} ancilla per step but needs "
                 f"{plan.adder_ancilla + plan.c - 1}"
             )
-        self.layouts = [plan.block_layout(j) for j in range(plan.c)]
+        self.layout = plan.layout(carry_in, carry_out)
+        self.registers = plan.block_registers()
+        self.compressed = [plan.block_layout(j) for j in range(plan.c)]
         self.slots = plan.carry_slots
-        n_reg = plan.registers * plan.n
-        self.cin_wire = n_reg if carry_in else None
-        self.cout_wire = n_reg + (1 if carry_in else 0) if carry_out else None
-
-    def wires(self) -> list[Wire]:
-        plan = self.plan
-        dim = plan.scheme.y
-        names = []
-        for i in range(plan.n):
-            if plan.mode == MODE_AB:
-                names += [f"a{i + 1}", f"b{i + 1}"]
-            else:
-                names.append(f"b{i + 1}")
-        out = [Wire(i, nm, dim) for i, nm in enumerate(names)]
-        if self.carry_in:
-            out.append(Wire(len(out), "cin", 2))
-        if self.carry_out:
-            out.append(Wire(len(out), "cout", 2))
-        return out
-
-    def new_circuit(self) -> Circuit:
-        wires = self.wires()
-        return ir.new_circuit(wires, input_bounds=(2,) * len(wires))
 
     def compress_gates(self, j: int) -> list[Gate]:
-        gates: list[Gate] = []
-        for orig, _, _ in self.layouts[j].groups:
-            gates += cmp.group_gates(self.plan.scheme, orig)
-        return gates
+        return cmp.block_gates(self.plan.scheme, self.compressed[j])
 
     def decompress_gates(self, j: int, dims) -> list[Gate]:
         return ir.invert_gates(self.compress_gates(j), dims)
@@ -190,20 +185,15 @@ class _Builder:
         for j in range(self.plan.c):
             if j == active:
                 continue
-            out += [a for a in self.layouts[j].ancilla if a not in live]
+            out += [a for a in self.compressed[j].ancilla if a not in live]
         return sorted(out)
 
     def adder_gates(self, j: int, cin: int | None, cout: int | None, ancilla: list[int]) -> list[Gate]:
-        plan = self.plan
-        nb = plan.block_bits
-        block = plan.blocks[j]
+        nb = self.plan.block_bits
+        a, b = self.registers[j]
         spec = AdderSpec(nb, carry_in=cin is not None, carry_out=cout is not None)
-        if plan.mode == MODE_AB:
-            wiring = AdderWiring(tuple(block[0::2]), tuple(block[1::2]), cin, cout, tuple(ancilla))
-            return _emit_cla(spec, wiring)
-        k_j = (self.k >> (j * nb)) & ((1 << nb) - 1)  # type: ignore[operator]
-        wiring = AdderWiring((), tuple(block), cin, cout, tuple(ancilla))
-        return _emit_cla(spec, wiring, k=k_j)
+        k_j = None if self.k is None else (self.k >> (j * nb)) & ((1 << nb) - 1)
+        return _emit_cla(spec, AdderWiring(a, b, cin, cout, tuple(ancilla)), k=k_j)
 
     def forward_gates(self, dims) -> list[Gate]:
         plan = self.plan
@@ -213,13 +203,13 @@ class _Builder:
         for j in range(plan.c):
             if j > 0:
                 gates += self.decompress_gates(j, dims)
-            cin = self.cin_wire if j == 0 else self.slots[j - 1]
+            cin = self.layout.carry_in if j == 0 else self.slots[j - 1]
             pool = self.pool(j, live_slots=j)
             internal = pool[: plan.adder_ancilla]
             if j < plan.c - 1:
                 cout = pool[plan.adder_ancilla]
             else:
-                cout = self.cout_wire
+                cout = self.layout.carry_out
             gates += self.adder_gates(j, cin, cout, internal)
             if j < plan.c - 1:
                 gates += self.compress_gates(j)
@@ -236,7 +226,7 @@ class _Builder:
             tmp = pool[plan.adder_ancilla]
             gates.append(swap(self.slots[j], tmp))
             gates += self.decompress_gates(j, dims)
-            cin = self.cin_wire if j == 0 else self.slots[j - 1]
+            cin = self.layout.carry_in if j == 0 else self.slots[j - 1]
             gates += ir.invert_gates(self.adder_gates(j, cin, tmp, internal), dims)
             gates += self.adder_gates(j, cin, None, internal)
         return gates
@@ -248,7 +238,7 @@ class _Builder:
         return gates
 
     def build(self) -> Circuit:
-        circ = self.new_circuit()
+        circ = self.layout.new_circuit(self.plan.scheme.y)
         dims = circ.dims
         ir.extend(circ, self.forward_gates(dims))
         ir.extend(circ, self.undo_gates(dims))
@@ -270,44 +260,13 @@ def build_block_plus_k(plan: BlockPlan, k: int, carry_in: bool = False, carry_ou
     return _Builder(plan, carry_in, carry_out, k).build()
 
 
-def uncompute_carries(plan: BlockPlan, carry_in: bool = False, carry_out: bool = False, k: int | None = None) -> Circuit:
-    """The carry-cleanup fragment alone, over the full wire set.
-
-    Assumes the state left by the forward pass: every block summed, blocks
-    other than the last compressed, carry slots holding the intermediate
-    carry-outs.
-    """
-    b = _Builder(plan, carry_in, carry_out, k)
-    circ = b.new_circuit()
-    return ir.extend(circ, b.undo_gates(circ.dims))
-
-
 # --- encode/decode helpers for oracles and the CLI -------------------------
 
 def encode_input(plan: BlockPlan, b_value: int, a_value: int | None = None, cin: int | None = None,
                  carry_in: bool = False, carry_out: bool = False) -> list[int]:
-    width = plan.registers * plan.n + int(carry_in) + int(carry_out)
-    digits = [0] * width
-    for i in range(plan.n):
-        if plan.mode == MODE_AB:
-            digits[2 * i] = (a_value >> i) & 1  # type: ignore[operator]
-            digits[2 * i + 1] = (b_value >> i) & 1
-        else:
-            digits[i] = (b_value >> i) & 1
-    if carry_in:
-        digits[plan.registers * plan.n] = cin or 0
-    return digits
+    return plan.layout(carry_in, carry_out).encode(a_value or 0, b_value, cin or 0)
 
 
 def decode_output(plan: BlockPlan, digits, carry_in: bool = False, carry_out: bool = False):
     """Returns (a_value or None, sum_value, cout or None)."""
-    a_val = None
-    if plan.mode == MODE_AB:
-        a_val = sum(int(digits[2 * i]) << i for i in range(plan.n))
-        s_val = sum(int(digits[2 * i + 1]) << i for i in range(plan.n))
-    else:
-        s_val = sum(int(digits[i]) << i for i in range(plan.n))
-    cout = None
-    if carry_out:
-        cout = int(digits[plan.registers * plan.n + int(carry_in)])
-    return a_val, s_val, cout
+    return plan.layout(carry_in, carry_out).decode(digits)

@@ -22,7 +22,7 @@ from . import ir
 from . import resources
 from . import sim
 from .ir import Circuit
-from .qubit_adders import AdderSpec, BuiltAdder, ancilla_required, ancilla_required_plus_k, build_cla_adder, build_plus_k, build_ripple_adder
+from .qubit_adders import AdderSpec, AdderWiring, _canonical, build_cla_adder, build_plus_k, build_ripple_adder
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -100,15 +100,33 @@ def build_kind(args) -> tuple[Circuit, bb.BlockPlan | None]:
 
 # --- oracles ---------------------------------------------------------------
 
-def _binary_inputs(free: int, zeros: int, exhaustive: bool, samples: int, seed: int) -> np.ndarray:
-    """Input matrix with ``free`` leading binary positions and trailing zeros."""
+def register_layout(args, plan: bb.BlockPlan | None) -> AdderWiring | None:
+    """Where the kind's A, B and carry wires live; None for the compressors.
+
+    The oracle needs only these interface wires: every wire the layout does
+    not name must come back unchanged. So a standalone adder's layout is
+    taken without its ancilla.
+    """
+    if plan is not None:
+        return plan.layout(args.carry_in, args.carry_out)
+    if args.kind in ADDER_KINDS:
+        spec = AdderSpec(args.n, carry_in=args.carry_in, carry_out=args.carry_out)
+        return _canonical(spec, 0 if args.kind == "plus-k" else args.n, 0)
+    return None
+
+
+def _binary_inputs(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> np.ndarray:
+    """Input matrix with binary values in columns ``cols`` and zeros elsewhere."""
+    free = len(cols)
     if exhaustive:
         _require(free <= 20, f"exhaustive sweep over 2^{free} inputs exceeds {EXHAUSTIVE_LIMIT}")
         rows = np.array(list(itertools.product((0, 1), repeat=free)), dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 2, size=(samples, free), dtype=np.int64)
-    return np.hstack([rows, np.zeros((rows.shape[0], zeros), dtype=np.int64)])
+    ins = np.zeros((rows.shape[0], width), dtype=np.int64)
+    ins[:, cols] = rows
+    return ins
 
 
 def _bits_to_int(mat: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -125,41 +143,21 @@ def _int_to_bits(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def expected_outputs(kind: str, args, plan: bb.BlockPlan | None, ins: np.ndarray) -> np.ndarray:
+def expected_outputs(kind: str, args, layout: AdderWiring | None, ins: np.ndarray) -> np.ndarray:
     """Independent big-integer / truth-table oracle for each circuit kind."""
-    if kind in COMPRESS_KINDS:
+    if layout is None:
         table = TABLE_231 if kind == "compress231" else TABLE_241
         return np.array([table[tuple(int(d) for d in row)] for row in ins], dtype=np.int64)
 
     exp = ins.copy()
-    n = args.n
-    if kind in ADDER_KINDS:
-        has_a = kind != "plus-k"
-        a_cols = list(range(n)) if has_a else []
-        b_cols = list(range(len(a_cols), len(a_cols) + n))
-        pos = len(a_cols) + n
-        cin_col = pos if args.carry_in else None
-        pos += int(args.carry_in)
-        cout_col = pos if args.carry_out else None
-    else:
-        assert plan is not None
-        if plan.mode == bb.MODE_AB:
-            a_cols = [2 * i for i in range(n)]
-            b_cols = [2 * i + 1 for i in range(n)]
-        else:
-            a_cols, b_cols = [], list(range(n))
-        pos = plan.registers * n
-        cin_col = pos if args.carry_in else None
-        pos += int(args.carry_in)
-        cout_col = pos if args.carry_out else None
-
-    a_val = _bits_to_int(ins, a_cols) if a_cols else int(args.k)
-    b_val = _bits_to_int(ins, b_cols)
-    cin = ins[:, cin_col] if cin_col is not None else 0
+    n = len(layout.b)
+    a_val = _bits_to_int(ins, layout.a) if layout.a else int(args.k)
+    b_val = _bits_to_int(ins, layout.b)
+    cin = ins[:, layout.carry_in] if layout.carry_in is not None else 0
     tot = a_val + b_val + cin
-    exp[:, b_cols] = _int_to_bits(tot % (1 << n), n)
-    if cout_col is not None:
-        exp[:, cout_col] = [int(t) >> n for t in tot]
+    exp[:, list(layout.b)] = _int_to_bits(tot % (1 << n), n)
+    if layout.carry_out is not None:
+        exp[:, layout.carry_out] = [int(t) >> n for t in tot]
     return exp
 
 
@@ -171,18 +169,10 @@ def run_verify(args) -> int:
         circ = ir.loads(Path(args.circuit).read_text())
         _require(circ.width == built_circ.width, "circuit file width does not match kind flags")
 
-    if kind in COMPRESS_KINDS:
-        free, zeros = circ.width, 0
-    elif kind in ADDER_KINDS:
-        has_a = kind != "plus-k"
-        free = (2 if has_a else 1) * args.n + int(args.carry_in)
-        zeros = circ.width - free
-    else:
-        free = plan.registers * args.n + int(args.carry_in)
-        zeros = circ.width - free
-
-    ins = _binary_inputs(free, zeros, args.exhaustive, args.samples, args.seed)
-    exp = expected_outputs(kind, args, plan, ins)
+    layout = register_layout(args, plan)
+    cols = list(range(circ.width)) if layout is None else layout.inputs
+    ins = _binary_inputs(circ.width, cols, args.exhaustive, args.samples, args.seed)
+    exp = expected_outputs(kind, args, layout, ins)
     out, _ = sim.run_batch(circ, ins)
     bad = np.nonzero((out != exp).any(axis=1))[0]
     if bad.size:
@@ -246,9 +236,7 @@ def cmd_stats(args) -> int:
     plan_file = Path(args.plan) if args.plan else _plan_path(Path(args.circuit))
     if plan_file.exists():
         p = json.loads(plan_file.read_text())
-        scheme = cmp.scheme_by_name(p["scheme"])
-        # Pool available while one block is decompressed.
-        ancilla = (p["c"] - 1) * (len(p["blocks"][0]) // scheme.m)
+        ancilla = bb.BlockPlan(p["mode"], cmp.scheme_by_name(p["scheme"]), p["n"], p["c"]).ancilla_per_step
     r = resources.report(circ, ancilla_generated=ancilla)
     if args.expand_cost_model:
         r = resources.expand_cost_model(r)

@@ -49,14 +49,13 @@ def feasible(x: int, y: int, m: int, n_out: int) -> bool:
 SCHEME_231 = CompressionScheme(x=2, y=3, z=1, m=3, n_out=2)
 SCHEME_241 = CompressionScheme(x=2, y=4, z=1, m=2, n_out=1)
 
-_SCHEMES = {"231": SCHEME_231, "2-3-1": SCHEME_231, "241": SCHEME_241, "2-4-1": SCHEME_241}
-
 
 def scheme_by_name(name: str) -> CompressionScheme:
-    try:
-        return _SCHEMES[name]
-    except KeyError:
-        raise ValueError(f"unknown scheme {name!r}; supported: 231, 241") from None
+    """A built scheme by its label, with or without dashes ("2-3-1" or "231")."""
+    for scheme in _REGISTRY:
+        if name in (scheme.label, scheme.label.replace("-", "")):
+            return scheme
+    raise ValueError(f"unknown scheme {name!r}; supported: 231, 241")
 
 
 def gates_compress_231(a: int, b: int, c: int) -> list[Gate]:
@@ -100,23 +99,30 @@ def build_compress_241(a: Wire | None = None, b: Wire | None = None) -> Circuit:
     return ir.extend(circ, gates_compress_241(a.id, b.id))
 
 
+# The one scheme registry: each built scheme's group gate emitter and its
+# standalone group circuit.
+_REGISTRY = {
+    SCHEME_231: (gates_compress_231, build_compress_231),
+    SCHEME_241: (gates_compress_241, build_compress_241),
+}
+
+
+def _registered(scheme: CompressionScheme):
+    try:
+        return _REGISTRY[scheme]
+    except KeyError:
+        raise ValueError(f"no circuit builder for scheme {scheme.label}") from None
+
+
 def build_decompress(scheme: CompressionScheme, wires: list[Wire] | None = None) -> Circuit:
     """Inverse of the group compressor; the last wire is the consumed ancilla."""
-    if scheme == SCHEME_231:
-        forward = build_compress_231(*wires) if wires else build_compress_231()
-    elif scheme == SCHEME_241:
-        forward = build_compress_241(*wires) if wires else build_compress_241()
-    else:
-        raise ValueError(f"no circuit builder for scheme {scheme.label}")
-    return ir.inverse(forward)
+    _, build = _registered(scheme)
+    return ir.inverse(build(*(wires or ())))
 
 
 def group_gates(scheme: CompressionScheme, wires: tuple[int, ...]) -> list[Gate]:
-    if scheme == SCHEME_231:
-        return gates_compress_231(*wires)
-    if scheme == SCHEME_241:
-        return gates_compress_241(*wires)
-    raise ValueError(f"no circuit builder for scheme {scheme.label}")
+    emit, _ = _registered(scheme)
+    return emit(*wires)
 
 
 @dataclass(frozen=True)
@@ -153,16 +159,6 @@ def layout_block(wires: list[int], scheme: CompressionScheme) -> CompressedLayou
     return CompressedLayout(tuple(groups), tuple(wires[full * m :]))
 
 
-def compress_block(circuit: Circuit, wires: list[int], scheme: CompressionScheme) -> tuple[Circuit, CompressedLayout]:
-    """Append the block compressor for ``wires`` to ``circuit``."""
-    layout = layout_block(wires, scheme)
-    for orig, _, _ in layout.groups:
-        ir.extend(circuit, group_gates(scheme, orig))
-    return circuit, layout
-
-
-def build_compress_block(n_wires: int, scheme: CompressionScheme) -> tuple[Circuit, CompressedLayout]:
-    """Standalone block compressor over ``n_wires`` fresh wires."""
-    wires = [Wire(i, f"q{i}", scheme.y) for i in range(n_wires)]
-    circ = ir.new_circuit(wires, input_bounds=(2,) * n_wires)
-    return compress_block(circ, list(range(n_wires)), scheme)
+def block_gates(scheme: CompressionScheme, layout: CompressedLayout) -> list[Gate]:
+    """The block compressor: each group of ``layout`` compressed in order."""
+    return [g for orig, _, _ in layout.groups for g in group_gates(scheme, orig)]

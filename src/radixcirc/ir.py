@@ -248,13 +248,25 @@ def circuit_from_dict(d: dict) -> Circuit:
 
     Repeats of a gate share one frozen ``Gate`` object, which is constructed
     and validated once: validation depends only on the gate and the wires.
+    Field types are checked on every gate first, because ``True == 1 == 1.0``
+    would let a bool or float field match an int gate's sharing key.
     """
-    wires = [Wire(i, w["name"], w["dim"]) for i, w in enumerate(d["wires"])]
+    wires = []
+    for i, w in enumerate(d["wires"]):
+        if type(w["name"]) is not str or type(w["dim"]) is not int:
+            raise CircuitError(f"wire {i}: name must be a string and dim an int, got {w['name']!r}, {w['dim']!r}")
+        wires.append(Wire(i, w["name"], w["dim"]))
     c = new_circuit(wires)
     shared: dict[tuple, Gate] = {}
     for g in d["gates"]:
+        kind, targets, params = g["kind"], tuple(g["targets"]), tuple(g["params"])
         controls = tuple((ct["wire"], ct["value"]) for ct in g.get("controls", []))
-        key = (g["kind"], tuple(g["targets"]), tuple(g["params"]), controls)
+        if type(kind) is not str:
+            raise CircuitError(f"gate kind must be a string, got {kind!r}")
+        for v in targets + params + sum(controls, ()):
+            if type(v) is not int:
+                raise CircuitError(f"gate targets, params and controls must be ints, got {v!r}")
+        key = (kind, targets, params, controls)
         gate = shared.get(key)
         if gate is None:
             gate = shared[key] = Gate(*key)

@@ -17,7 +17,7 @@ controls), so the builders are safe on wires of any capacity >= 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ir
 from .ir import Circuit, Gate, Wire, ccx, cx, x
@@ -35,13 +35,6 @@ def ancilla_required_plus_k(m: int) -> int:
     return ancilla_required(m) - 1
 
 
-def tree_ancilla(m: int) -> int:
-    """Internal propagate-tree nodes of a size-m carry network."""
-    if m < 1:
-        return 0
-    return sum(max(0, (m >> t) - 1) for t in range(1, m.bit_length()))
-
-
 @dataclass(frozen=True)
 class AdderSpec:
     n: int
@@ -55,7 +48,13 @@ class AdderSpec:
 
 @dataclass(frozen=True)
 class AdderWiring:
-    """Wire ids for an adder embedded in a host circuit, LSB first."""
+    """Where an adder's registers live in its host circuit, LSB first.
+
+    This is the one register layout: builders place gates by it, and input
+    encoding, output decoding and the verify oracle read values through it.
+    A layout of a whole circuit names every wire: ``a{i}``, ``b{i}``,
+    ``cin``, ``cout`` and ``z{i}`` for the ancilla.
+    """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -64,13 +63,62 @@ class AdderWiring:
     ancilla: tuple[int, ...] = ()
 
     def __post_init__(self):
-        wires = list(self.a) + list(self.b) + list(self.ancilla)
-        if self.carry_in is not None:
-            wires.append(self.carry_in)
-        if self.carry_out is not None:
-            wires.append(self.carry_out)
+        wires = self.wire_ids()
         if len(set(wires)) != len(wires):
             raise ValueError("adder wiring has colliding wires")
+
+    def wire_ids(self) -> list[int]:
+        """Every wire the layout names: A, B, the carries, then the ancilla."""
+        carries = [w for w in (self.carry_in, self.carry_out) if w is not None]
+        return [*self.a, *self.b, *carries, *self.ancilla]
+
+    @property
+    def width(self) -> int:
+        return len(self.wire_ids())
+
+    @property
+    def inputs(self) -> list[int]:
+        """Wires that take input values (A, B and the carry-in), ascending."""
+        cin = [] if self.carry_in is None else [self.carry_in]
+        return sorted([*self.a, *self.b, *cin])
+
+    def names(self) -> dict[int, str]:
+        named = {w: f"a{i + 1}" for i, w in enumerate(self.a)}
+        named.update({w: f"b{i + 1}" for i, w in enumerate(self.b)})
+        for w, name in ((self.carry_in, "cin"), (self.carry_out, "cout")):
+            if w is not None:
+                named[w] = name
+        named.update({w: f"z{i + 1}" for i, w in enumerate(self.ancilla)})
+        return named
+
+    def new_circuit(self, dim: int = 2) -> Circuit:
+        """An empty circuit over exactly the named wires, with binary inputs.
+
+        Register and ancilla wires have capacity ``dim``; the carries are qubits.
+        """
+        names = self.names()
+        carries = (self.carry_in, self.carry_out)
+        wires = [Wire(i, names[i], 2 if i in carries else dim) for i in range(self.width)]
+        return ir.new_circuit(wires, input_bounds=(2,) * len(wires))
+
+    def encode(self, a: int, b: int, cin: int = 0) -> list[int]:
+        """Input digits, wire 0 first: A, B and the carry-in; 0 on every other wire."""
+        digits = [0] * self.width
+        for reg, value in ((self.a, a), (self.b, b)):
+            for i, w in enumerate(reg):
+                digits[w] = (value >> i) & 1
+        if self.carry_in is not None:
+            digits[self.carry_in] = cin
+        return digits
+
+    def decode(self, digits) -> tuple[int | None, int, int | None]:
+        """(A, B, carry-out) read from digits; None for a register the layout lacks."""
+
+        def value(reg: tuple[int, ...]) -> int:
+            return sum(int(digits[w]) << i for i, w in enumerate(reg))
+
+        cout = None if self.carry_out is None else int(digits[self.carry_out])
+        return (value(self.a) if self.a else None), value(self.b), cout
 
 
 def _check_wiring(spec: AdderSpec, w: AdderWiring, need_a: bool, min_ancilla: int) -> None:
@@ -242,35 +290,27 @@ class BuiltAdder:
     wiring: AdderWiring
 
 
-def _canonical(spec: AdderSpec, n_a: int, n_ancilla: int, dim: int = 2) -> tuple[Circuit, AdderWiring]:
-    names: list[str] = [f"a{i + 1}" for i in range(n_a)] + [f"b{i + 1}" for i in range(spec.n)]
-    if spec.carry_in:
-        names.append("cin")
-    if spec.carry_out:
-        names.append("cout")
-    names += [f"z{i + 1}" for i in range(n_ancilla)]
-    wires = [Wire(i, nm, dim) for i, nm in enumerate(names)]
-    circ = ir.new_circuit(wires, input_bounds=(2,) * len(wires))
+def _canonical(spec: AdderSpec, n_a: int, n_ancilla: int) -> AdderWiring:
+    """Standalone layout: a, b, then the carry-in and carry-out, then the ancilla."""
     pos = n_a + spec.n
     cin = pos if spec.carry_in else None
-    pos += spec.carry_in
-    cout = pos if spec.carry_out else None
-    pos += spec.carry_out
-    wiring = AdderWiring(
+    cout = pos + spec.carry_in if spec.carry_out else None
+    pos += spec.carry_in + spec.carry_out
+    return AdderWiring(
         a=tuple(range(n_a)),
         b=tuple(range(n_a, n_a + spec.n)),
         carry_in=cin,
         carry_out=cout,
         ancilla=tuple(range(pos, pos + n_ancilla)),
     )
-    return circ, wiring
 
 
 def build_cla_adder(spec: AdderSpec, wiring: AdderWiring | None = None, circuit: Circuit | None = None) -> BuiltAdder:
     """Log-depth in-place adder.  With no wiring, a canonical circuit is laid
     out as a, b, carries, then exactly ``ancilla_required(n)`` ancilla."""
     if wiring is None:
-        circuit, wiring = _canonical(spec, spec.n, ancilla_required(spec.n))
+        wiring = _canonical(spec, spec.n, ancilla_required(spec.n))
+        circuit = wiring.new_circuit()
     elif circuit is None:
         raise ValueError("explicit wiring requires the host circuit")
     _check_wiring(spec, wiring, need_a=True, min_ancilla=ancilla_required(spec.n))
@@ -283,7 +323,8 @@ def build_plus_k(spec: AdderSpec, k: int, wiring: AdderWiring | None = None, cir
     if not 0 <= k < (1 << spec.n):
         raise ValueError(f"constant {k} out of range for {spec.n} bits")
     if wiring is None:
-        circuit, wiring = _canonical(spec, 0, ancilla_required_plus_k(spec.n))
+        wiring = _canonical(spec, 0, ancilla_required_plus_k(spec.n))
+        circuit = wiring.new_circuit()
     elif circuit is None:
         raise ValueError("explicit wiring requires the host circuit")
     _check_wiring(spec, wiring, need_a=False, min_ancilla=ancilla_required_plus_k(spec.n))
@@ -294,7 +335,8 @@ def build_plus_k(spec: AdderSpec, k: int, wiring: AdderWiring | None = None, cir
 def build_ripple_adder(spec: AdderSpec, wiring: AdderWiring | None = None, circuit: Circuit | None = None) -> BuiltAdder:
     """Linear-depth in-place adder with zero ancilla."""
     if wiring is None:
-        circuit, wiring = _canonical(spec, spec.n, 0)
+        wiring = _canonical(spec, spec.n, 0)
+        circuit = wiring.new_circuit()
     elif circuit is None:
         raise ValueError("explicit wiring requires the host circuit")
     _check_wiring(spec, wiring, need_a=True, min_ancilla=0)

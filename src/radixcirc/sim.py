@@ -98,10 +98,6 @@ def interface_states(c: Circuit) -> Iterator[BasisState]:
     return all_basis_states(c, c.input_bounds)
 
 
-def permutation_table(c: Circuit, domain: Iterable[BasisState]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    return {s.digits: run(c, s).digits for s in domain}
-
-
 def run_batch(
     c: Circuit,
     states: np.ndarray,

@@ -126,24 +126,6 @@ def test_infeasible_plan_rejected_by_builder():
         bb.build_block_adder(plan)
 
 
-def test_uncompute_carries_fragment_inverts_cleanup():
-    # forward pass followed by the standalone cleanup fragment and final
-    # decompression must equal the full builder output.
-    plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_241, 12)
-    builder = bb._Builder(plan, False, False, None)
-    circ = builder.new_circuit()
-    ir.extend(circ, builder.forward_gates(circ.dims))
-    frag = bb.uncompute_carries(plan)
-    whole = ir.concat(circ, frag)
-    ir.extend(whole, builder.final_gates(whole.dims))
-    full = bb.build_block_adder(plan)
-    rng = np.random.default_rng(9)
-    states = rng.integers(0, 2, size=(50, circ.width))
-    got, _ = sim.run_batch(whole, states)
-    want, _ = sim.run_batch(full, states)
-    assert (got == want).all()
-
-
 def test_intermediate_digits_bounded_by_scheme():
     for scheme, bound, n in [(cmp.SCHEME_231, 2, 30), (cmp.SCHEME_241, 3, 12)]:
         plan = bb.plan_blocks(bb.MODE_AB, scheme, n)
@@ -165,3 +147,12 @@ def test_inverse_block_adder_round_trip():
     states = rng.integers(0, 2, size=(100, circ.width))
     out, _ = sim.run_batch(both, states)
     assert (out == states).all()
+
+
+@pytest.mark.parametrize("carry_in,carry_out", [(False, False), (True, False), (False, True), (True, True)])
+def test_block_adder_231_depth_matches_readme(carry_in, carry_out):
+    # README: 314 at n=30 for every carry variant; at n=240, 473 without and
+    # 474 with a carry-out.
+    for n, depth in [(30, 314), (240, 474 if carry_out else 473)]:
+        plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n)
+        assert ir.depth(bb.build_block_adder(plan, carry_in, carry_out)) == depth

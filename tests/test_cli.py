@@ -141,3 +141,37 @@ def test_stats_malformed_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_cli("stats", str(bad)) == 2
+
+
+@pytest.mark.parametrize("target", ["true", "1.0"])
+def test_non_int_target_exits_2(tmp_path, capsys, target):
+    doc = ('{"wires": [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}], "gates": '
+           '[{"kind": "flip", "targets": [1], "params": [0, 1], "controls": []}, '
+           f'{{"kind": "flip", "targets": [{target}], "params": [0, 1], "controls": []}}]}}')
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run_cli("stats", str(path)) == 2
+    assert run_cli("simulate", str(path), "--input", "0,0") == 2
+    assert "must be ints" in capsys.readouterr().err
+
+
+def test_verify_corrupted_block_adder_exits_1(tmp_path, capsys):
+    out = tmp_path / "blk.json"
+    flags = ["--kind", "block-adder", "--n", "12", "--scheme", "241", "--carry-out"]
+    run_cli("build", *flags, "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["gates"] = doc["gates"][:-1]  # leave the last block compressed
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", *flags, "--samples", "20", "--circuit", str(out)) == 1
+    assert "FAIL block-adder" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("mode", "a-b")])
+def test_stats_malformed_plan_sidecar_exits_2(tmp_path, field, value):
+    out = tmp_path / "blk.json"
+    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
+    sidecar = tmp_path / "blk.plan.json"
+    plan = json.loads(sidecar.read_text())
+    plan[field] = value
+    sidecar.write_text(json.dumps(plan))
+    assert run_cli("stats", str(out)) == 2

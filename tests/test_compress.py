@@ -110,8 +110,10 @@ def test_layout_block_grouping():
 
 
 def test_block_compress_restores_on_inverse():
-    circ, layout = cmp.build_compress_block(6, cmp.SCHEME_231)
+    layout = cmp.layout_block(list(range(6)), cmp.SCHEME_231)
     assert layout.ancilla == (2, 5)
+    circ = ir.new_circuit([ir.Wire(i, f"q{i}", 3) for i in range(6)], input_bounds=(2,) * 6)
+    ir.extend(circ, cmp.block_gates(cmp.SCHEME_231, layout))
     both = ir.concat(circ, ir.inverse(circ))
     for s in sim.interface_states(circ):
         assert sim.run(both, s) == s

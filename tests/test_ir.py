@@ -268,3 +268,29 @@ def test_ir_paths_read_dims_a_constant_number_of_times(monkeypatch):
     large, large_gates = dims_reads(120)
     assert large_gates > 4 * small_gates
     assert small == large <= 4
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target", True), ("target", 1.0), ("param", True), ("param", 1.0),
+    ("control wire", False), ("control wire", 0.0), ("control value", True), ("control value", "1"),
+    ("dim", True), ("dim", 2.0), ("name", 7), ("kind", ["flip"]),
+])
+def test_loads_rejects_non_int_fields(field, value):
+    wires = [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}]
+    cx = {"kind": "flip", "targets": [1], "params": [0, 1], "controls": [{"wire": 0, "value": 1}]}
+    g = json.loads(json.dumps(cx))
+    if field == "target":
+        g["targets"] = [value]
+    elif field == "param":
+        g["params"] = [0, value]
+    elif field == "control wire":
+        g["controls"][0]["wire"] = value
+    elif field == "control value":
+        g["controls"][0]["value"] = value
+    elif field == "kind":
+        g["kind"] = value
+    else:
+        wires[1][field] = value
+    # The well-typed gate comes first, so the bad one would match its sharing key.
+    with pytest.raises(CircuitError):
+        ir.circuit_from_dict({"wires": wires, "gates": [cx, g]})

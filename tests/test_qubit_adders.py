@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -11,7 +12,6 @@ from radixcirc.qubit_adders import (
     build_cla_adder,
     build_plus_k,
     build_ripple_adder,
-    tree_ancilla,
 )
 
 VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
@@ -29,11 +29,6 @@ def test_ancilla_formula_against_oracle():
     import math
     for m in range(1, 1025):
         assert ancilla_required(m) == 2 * m - bin(m).count("1") - int(math.log2(m))
-
-
-def test_tree_ancilla_monotone_and_bounded():
-    for m in range(1, 200):
-        assert 0 <= tree_ancilla(m) <= ancilla_required(m)
 
 
 def test_spec_and_wiring_validation():
@@ -149,3 +144,15 @@ def test_explicit_wiring_requires_host_circuit():
     w = AdderWiring((0, 1), (2, 3), None, None, (4, 5))
     with pytest.raises(ValueError):
         build_cla_adder(spec, wiring=w)
+
+
+# README: CLA depth is at most 4*log2(n) + 10 for all n up to 512.  Every
+# n <= 64, plus each power of two and its neighbours up to 512.
+DEPTH_SIZES = sorted(set(range(1, 65)) | {2**k + d for k in range(6, 10) for d in (-1, 0, 1) if 2**k + d <= 512})
+
+
+@pytest.mark.parametrize("carry_in,carry_out", VARIANTS)
+def test_cla_depth_within_readme_bound(carry_in, carry_out):
+    for n in DEPTH_SIZES:
+        d = ir.depth(build_cla_adder(AdderSpec(n, carry_in, carry_out)).circuit)
+        assert d <= 4 * math.log2(n) + 10, (n, d)

@@ -56,7 +56,7 @@ def test_swap_gate():
 
 def test_run_is_permutation_on_full_space():
     c = mixed_circuit()
-    table = sim.permutation_table(c, sim.all_basis_states(c))
+    table = {s.digits: sim.run(c, s).digits for s in sim.all_basis_states(c)}
     assert len(table) == 24
     assert len(set(table.values())) == 24
 
