@@ -16,18 +16,12 @@ against the exact accounting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import compress as cmp
 from . import ir
 from .ir import Circuit, Gate, swap
-from .qubit_adders import (
-    AdderSpec,
-    AdderWiring,
-    _emit_cla,
-    ancilla_required,
-    ancilla_required_plus_k,
-)
+from .qubit_adders import AdderSpec, AdderWiring, ancilla_required, ancilla_required_plus_k, cla_gates
 
 MODE_AB = "a+b"
 MODE_PLUS_K = "+k"
@@ -45,6 +39,8 @@ class BlockPlan:
     scheme: cmp.CompressionScheme
     n: int
     c: int
+    # layout() by (carry_in, carry_out): encode_input and decode_output ask for it per call.
+    _layouts: dict[tuple[bool, bool], AdderWiring] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Plans are also read back from sidecar JSON, so check the field types.
@@ -67,12 +63,15 @@ class BlockPlan:
 
     def layout(self, carry_in: bool = False, carry_out: bool = False) -> AdderWiring:
         """Where the registers live: a_i, b_i interleaved for A+B, all B for +K,
-        then the carry-in and carry-out."""
-        reg = tuple(range(self.registers * self.n))
-        a, b = (reg[0::2], reg[1::2]) if self.mode == MODE_AB else ((), reg)
-        cin = len(reg) if carry_in else None
-        cout = len(reg) + carry_in if carry_out else None
-        return AdderWiring(a, b, cin, cout)
+        then the carry-in and carry-out.  Built once per plan and carry variant."""
+        wiring = self._layouts.get((carry_in, carry_out))
+        if wiring is None:
+            reg = tuple(range(self.registers * self.n))
+            a, b = (reg[0::2], reg[1::2]) if self.mode == MODE_AB else ((), reg)
+            cin = len(reg) if carry_in else None
+            cout = len(reg) + carry_in if carry_out else None
+            wiring = self._layouts[carry_in, carry_out] = AdderWiring(a, b, cin, cout)
+        return wiring
 
     def block_registers(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each block's slices of the A and B registers."""
@@ -114,16 +113,24 @@ class BlockPlan:
         }
 
 
+def _worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> tuple[int, int]:
+    regs = 2 if mode == MODE_AB else 1
+    return ((c - 1) * regs * n) // (scheme.m * c), 2 * n // c + c - 1
+
+
 def worst_case_inequality(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> bool:
     """Closed-form feasibility bound assuming worst-case ancilla demand 2n/c."""
-    regs = 2 if mode == MODE_AB else 1
-    lhs = ((c - 1) * regs * n) // (scheme.m * c)
-    return lhs >= 2 * n // c + c - 1
+    lhs, rhs = _worst_case_sides(mode, scheme, n, c)
+    return lhs >= rhs
 
 
 def exact_accounting(plan: BlockPlan) -> bool:
     """Per-step check: pool covers the sub-adder plus all live carry slots."""
     return plan.ancilla_per_step >= plan.adder_ancilla + plan.c - 1
+
+
+def _shortfall(plan: BlockPlan) -> str:
+    return f"{plan.ancilla_per_step} ancilla per step < {plan.adder_ancilla + plan.c - 1} needed"
 
 
 def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan | None:
@@ -148,6 +155,21 @@ def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan |
     return None
 
 
+def infeasible_reason(mode: str, scheme: cmp.CompressionScheme, n: int) -> str:
+    """Why ``plan_blocks`` finds no plan: the check each block count c | n fails."""
+    regs = 2 if mode == MODE_AB else 1
+    fails = []
+    for c in range(2, n + 1):
+        if n % c:
+            continue
+        lhs, rhs = _worst_case_sides(mode, scheme, n, c)
+        check = f"bound {lhs} < {rhs}" if lhs < rhs else f"accounting {_shortfall(BlockPlan(mode, scheme, n, c))}"
+        fails.append(f"c={c}: {check}")
+    return (f"infeasible (mode {mode}, scheme {scheme.label}, n={n}): no block count c >= 2 dividing n "
+            f"passes both the worst-case bound floor((c-1)*{regs}n/({scheme.m}c)) >= 2n/c + c - 1 "
+            f"and the exact per-step accounting; " + ("; ".join(fails) or "n has no such c"))
+
+
 # --- construction ----------------------------------------------------------
 
 class _Builder:
@@ -163,9 +185,7 @@ class _Builder:
             raise ValueError("a+b mode takes no constant")
         if not exact_accounting(plan):
             raise InfeasiblePlan(
-                f"plan (mode={plan.mode}, scheme={plan.scheme.label}, n={plan.n}, c={plan.c}) "
-                f"provides {plan.ancilla_per_step} ancilla per step but needs "
-                f"{plan.adder_ancilla + plan.c - 1}"
+                f"plan (mode={plan.mode}, scheme={plan.scheme.label}, n={plan.n}, c={plan.c}): {_shortfall(plan)}"
             )
         self.layout = plan.layout(carry_in, carry_out)
         self.registers = plan.block_registers()
@@ -193,7 +213,7 @@ class _Builder:
         a, b = self.registers[j]
         spec = AdderSpec(nb, carry_in=cin is not None, carry_out=cout is not None)
         k_j = None if self.k is None else (self.k >> (j * nb)) & ((1 << nb) - 1)
-        return _emit_cla(spec, AdderWiring(a, b, cin, cout, tuple(ancilla)), k=k_j)
+        return cla_gates(spec, AdderWiring(a, b, cin, cout, tuple(ancilla)), k=k_j)
 
     def forward_gates(self, dims) -> list[Gate]:
         plan = self.plan

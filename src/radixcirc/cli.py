@@ -65,12 +65,7 @@ def _block_plan(args) -> bb.BlockPlan:
     scheme = cmp.scheme_by_name(args.scheme)
     plan = bb.plan_blocks(mode, scheme, args.n)
     if plan is None:
-        regs = 2 if mode == bb.MODE_AB else 1
-        raise UsageError(
-            f"infeasible: no block count c >= 2 dividing n={args.n} satisfies "
-            f"floor((c-1)*{regs}n/({scheme.m}c)) >= 2n/c + c - 1 "
-            f"(mode {mode}, scheme {scheme.label})"
-        )
+        raise UsageError(bb.infeasible_reason(mode, scheme, args.n))
     return plan
 
 
@@ -236,6 +231,7 @@ def cmd_stats(args) -> int:
     plan_file = Path(args.plan) if args.plan else _plan_path(Path(args.circuit))
     if plan_file.exists():
         p = json.loads(plan_file.read_text())
+        _require(type(p) is dict, f"plan sidecar {plan_file} must be a JSON object")
         ancilla = bb.BlockPlan(p["mode"], cmp.scheme_by_name(p["scheme"]), p["n"], p["c"]).ancilla_per_step
     r = resources.report(circ, ancilla_generated=ancilla)
     if args.expand_cost_model:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ir
-from .ir import Circuit, CircuitError, Gate, Wire, flip, incr
+from .ir import Circuit, Gate, Wire, flip, incr
 
 
 @dataclass(frozen=True)
@@ -80,85 +80,49 @@ def gates_compress_241(a: int, b: int) -> list[Gate]:
     ]
 
 
-def build_compress_231(a: Wire | None = None, b: Wire | None = None, c: Wire | None = None) -> Circuit:
-    if a is None:
-        a, b, c = (Wire(i, n, 3) for i, n in enumerate("ABC"))
-    for w in (a, b, c):
-        if w.dim < 3:
-            raise CircuitError(f"2-3-1 compression needs dim >= 3 on wire {w.name!r}")
-    circ = ir.new_circuit([a, b, c], input_bounds=(2, 2, 2))
-    return ir.extend(circ, gates_compress_231(a.id, b.id, c.id))
+def build_compress_231() -> Circuit:
+    """The 2-3-1 group compressor on binary-input qutrits A, B, C."""
+    circ = ir.new_circuit(ir.binary_wires("ABC", 3), input_bounds=(2, 2, 2))
+    return ir.extend(circ, gates_compress_231(0, 1, 2))
 
 
-def build_compress_241(a: Wire | None = None, b: Wire | None = None) -> Circuit:
-    if a is None:
-        a, b = Wire(0, "A", 4), Wire(1, "B", 2)
-    if a.dim < 4:
-        raise CircuitError(f"2-4-1 compression needs dim >= 4 on wire {a.name!r}")
-    circ = ir.new_circuit([a, b], input_bounds=(2, 2))
-    return ir.extend(circ, gates_compress_241(a.id, b.id))
+def build_compress_241() -> Circuit:
+    """The 2-4-1 group compressor on binary-input ququart A and qubit B."""
+    circ = ir.new_circuit([Wire(0, "A", 4), Wire(1, "B", 2)], input_bounds=(2, 2))
+    return ir.extend(circ, gates_compress_241(0, 1))
 
 
-# The one scheme registry: each built scheme's group gate emitter and its
-# standalone group circuit.
-_REGISTRY = {
-    SCHEME_231: (gates_compress_231, build_compress_231),
-    SCHEME_241: (gates_compress_241, build_compress_241),
-}
-
-
-def _registered(scheme: CompressionScheme):
-    try:
-        return _REGISTRY[scheme]
-    except KeyError:
-        raise ValueError(f"no circuit builder for scheme {scheme.label}") from None
-
-
-def build_decompress(scheme: CompressionScheme, wires: list[Wire] | None = None) -> Circuit:
-    """Inverse of the group compressor; the last wire is the consumed ancilla."""
-    _, build = _registered(scheme)
-    return ir.inverse(build(*(wires or ())))
+# The one scheme registry: each built scheme's group gate emitter.
+_REGISTRY = {SCHEME_231: gates_compress_231, SCHEME_241: gates_compress_241}
 
 
 def group_gates(scheme: CompressionScheme, wires: tuple[int, ...]) -> list[Gate]:
-    emit, _ = _registered(scheme)
+    """One group's compressor on its m ``wires``; the wires past n_out end at 0."""
+    try:
+        emit = _REGISTRY[scheme]
+    except KeyError:
+        raise ValueError(f"no circuit builder for scheme {scheme.label}") from None
     return emit(*wires)
 
 
 @dataclass(frozen=True)
 class CompressedLayout:
-    """Bookkeeping for a block compression: which wires encode which, in order."""
+    """A block compression: its groups of m wires, compressed in order, and the
+    ancilla they free (each group's wires past its first n_out)."""
 
-    groups: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-    leftover: tuple[int, ...]
-
-    @property
-    def ancilla(self) -> tuple[int, ...]:
-        return tuple(w for _, _, anc in self.groups for w in anc)
-
-    def to_dict(self) -> dict:
-        return {
-            "groups": [
-                {"orig": list(orig), "storage": list(storage), "ancilla": list(anc)}
-                for orig, storage, anc in self.groups
-            ],
-            "leftover": list(self.leftover),
-        }
+    groups: tuple[tuple[int, ...], ...]
+    ancilla: tuple[int, ...]
 
 
 def layout_block(wires: list[int], scheme: CompressionScheme) -> CompressedLayout:
-    """Group consecutive wires into m-tuples; the tail of each group is its ancilla."""
+    """Group consecutive wires into m-tuples; wires past the last full group stay as they are."""
     if not wires:
         raise ValueError("cannot compress an empty wire list")
-    m, n_out = scheme.m, scheme.n_out
-    groups = []
-    full = len(wires) // m
-    for g in range(full):
-        chunk = tuple(wires[g * m : (g + 1) * m])
-        groups.append((chunk, chunk[:n_out], chunk[n_out:]))
-    return CompressedLayout(tuple(groups), tuple(wires[full * m :]))
+    m = scheme.m
+    groups = tuple(tuple(wires[i : i + m]) for i in range(0, len(wires) - m + 1, m))
+    return CompressedLayout(groups, tuple(w for group in groups for w in group[scheme.n_out :]))
 
 
 def block_gates(scheme: CompressionScheme, layout: CompressedLayout) -> list[Gate]:
     """The block compressor: each group of ``layout`` compressed in order."""
-    return [g for orig, _, _ in layout.groups for g in group_gates(scheme, orig)]
+    return [g for group in layout.groups for g in group_gates(scheme, group)]

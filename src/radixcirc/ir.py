@@ -248,19 +248,32 @@ def circuit_from_dict(d: dict) -> Circuit:
 
     Repeats of a gate share one frozen ``Gate`` object, which is constructed
     and validated once: validation depends only on the gate and the wires.
-    Field types are checked on every gate first, because ``True == 1 == 1.0``
-    would let a bool or float field match an int gate's sharing key.
+    Every value's JSON type is checked, so a malformed document raises
+    ``CircuitError``.  Gate field types are checked on every gate first,
+    because ``True == 1 == 1.0`` would let a bool or float field match an
+    int gate's sharing key.
     """
+    if type(d) is not dict or type(d.get("wires")) is not list or type(d.get("gates")) is not list:
+        raise CircuitError("a circuit document must be an object with 'wires' and 'gates' lists")
     wires = []
     for i, w in enumerate(d["wires"]):
-        if type(w["name"]) is not str or type(w["dim"]) is not int:
-            raise CircuitError(f"wire {i}: name must be a string and dim an int, got {w['name']!r}, {w['dim']!r}")
+        if type(w) is not dict or type(w.get("name")) is not str or type(w.get("dim")) is not int:
+            raise CircuitError(f"wire {i} must be an object with a string name and an int dim, got {w!r}")
         wires.append(Wire(i, w["name"], w["dim"]))
     c = new_circuit(wires)
     shared: dict[tuple, Gate] = {}
     for g in d["gates"]:
-        kind, targets, params = g["kind"], tuple(g["targets"]), tuple(g["params"])
-        controls = tuple((ct["wire"], ct["value"]) for ct in g.get("controls", []))
+        if type(g) is not dict:
+            raise CircuitError(f"a gate must be an object, got {g!r}")
+        kind, targets, params, ctl = g["kind"], g["targets"], g["params"], g.get("controls", [])
+        if type(targets) is not list or type(params) is not list or type(ctl) is not list:
+            raise CircuitError(f"gate targets, params and controls must be lists, got {targets!r}, {params!r}, {ctl!r}")
+        controls = []
+        for ct in ctl:
+            if type(ct) is not dict:
+                raise CircuitError(f"a gate control must be an object, got {ct!r}")
+            controls.append((ct["wire"], ct["value"]))
+        targets, params, controls = tuple(targets), tuple(params), tuple(controls)
         if type(kind) is not str:
             raise CircuitError(f"gate kind must be a string, got {kind!r}")
         for v in targets + params + sum(controls, ()):

@@ -1,19 +1,21 @@
 """Binary in-place sub-adders.
 
-Three builders share one contract (B' = A + B + c_in mod 2^n in place, A
-preserved, supplied ancilla restored to 0, optional carry-out on a separate
-zero-initialized interface wire):
+One gate emitter per adder returns its gate list for the wire layout it is
+given, after checking that layout.  Both share one contract (B' = A + B +
+c_in mod 2^n in place, A preserved, supplied ancilla restored to 0, optional
+carry-out on a separate zero-initialized interface wire):
 
-* ``build_cla_adder`` - carry-lookahead with a Brent-Kung style prefix tree
-  over generate/propagate bits, O(log n) depth, using at most
-  2n - w(n) - floor(log2 n) ancilla.
-* ``build_plus_k`` - the same structure with the A register deleted; gates
+* ``cla_gates`` - carry-lookahead with a Brent-Kung style prefix tree over
+  generate/propagate bits, O(log n) depth, using at most
+  2n - w(n) - floor(log2 n) ancilla.  With a constant k in place of A, gates
   controlled on a_i are dropped (k_i = 0) or demoted (k_i = 1).
-* ``build_ripple_adder`` - O(n) depth, zero ancilla, for sizes where block
+* ``ripple_gates`` - O(n) depth, zero ancilla, for sizes where block
   compression is infeasible.
 
-All gates emitted here are binary (flips of levels 0/1 with value-1
-controls), so the builders are safe on wires of any capacity >= 2.
+The block builder places ``cla_gates`` on its block layouts; ``build_*``
+place an emitter on the canonical layout.  All gates emitted here are binary
+(flips of levels 0/1 with value-1 controls), so they are safe on wires of any
+capacity >= 2.
 """
 from __future__ import annotations
 
@@ -166,11 +168,14 @@ def _network_gates(m: int, p: dict[int, int], g: list[int | None], pool: list[in
     return p_rounds + g_rounds + c_rounds + [gate for gate in reversed(p_rounds)]
 
 
-def _emit_cla(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gate]:
-    """Carry-lookahead gate list; when ``k`` is given the A register is the
-    constant k and a-controlled gates are specialized away."""
+def cla_gates(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gate]:
+    """Carry-lookahead gate list on layout ``w``; when ``k`` is given the A
+    register is the constant k and a-controlled gates are specialized away."""
     n = spec.n
     plus_k = k is not None
+    if plus_k and not 0 <= k < (1 << n):
+        raise ValueError(f"constant {k} out of range for {n} bits")
+    _check_wiring(spec, w, need_a=not plus_k, min_ancilla=ancilla_required_plus_k(n) if plus_k else ancilla_required(n))
 
     def k_bit(i: int) -> int:
         return (k >> i) & 1  # type: ignore[operator]
@@ -233,7 +238,9 @@ def _emit_cla(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gat
 
 # --- ripple fallback ------------------------------------------------------
 
-def _emit_ripple(spec: AdderSpec, w: AdderWiring) -> list[Gate]:
+def ripple_gates(spec: AdderSpec, w: AdderWiring) -> list[Gate]:
+    """Ripple-carry gate list on layout ``w``; it needs no ancilla."""
+    _check_wiring(spec, w, need_a=True, min_ancilla=0)
     n = spec.n
     gates: list[Gate] = []
     if spec.carry_in:
@@ -305,40 +312,22 @@ def _canonical(spec: AdderSpec, n_a: int, n_ancilla: int) -> AdderWiring:
     )
 
 
-def build_cla_adder(spec: AdderSpec, wiring: AdderWiring | None = None, circuit: Circuit | None = None) -> BuiltAdder:
-    """Log-depth in-place adder.  With no wiring, a canonical circuit is laid
-    out as a, b, carries, then exactly ``ancilla_required(n)`` ancilla."""
-    if wiring is None:
-        wiring = _canonical(spec, spec.n, ancilla_required(spec.n))
-        circuit = wiring.new_circuit()
-    elif circuit is None:
-        raise ValueError("explicit wiring requires the host circuit")
-    _check_wiring(spec, wiring, need_a=True, min_ancilla=ancilla_required(spec.n))
-    ir.extend(circuit, _emit_cla(spec, wiring))
-    return BuiltAdder(circuit, wiring)
+def build_cla_adder(spec: AdderSpec) -> BuiltAdder:
+    """Log-depth in-place adder: a, b, carries, then ``ancilla_required(n)`` ancilla."""
+    wiring = _canonical(spec, spec.n, ancilla_required(spec.n))
+    circuit = wiring.new_circuit()
+    return BuiltAdder(ir.extend(circuit, cla_gates(spec, wiring)), wiring)
 
 
-def build_plus_k(spec: AdderSpec, k: int, wiring: AdderWiring | None = None, circuit: Circuit | None = None) -> BuiltAdder:
-    """In-place B += k; derived from the carry-lookahead layout."""
-    if not 0 <= k < (1 << spec.n):
-        raise ValueError(f"constant {k} out of range for {spec.n} bits")
-    if wiring is None:
-        wiring = _canonical(spec, 0, ancilla_required_plus_k(spec.n))
-        circuit = wiring.new_circuit()
-    elif circuit is None:
-        raise ValueError("explicit wiring requires the host circuit")
-    _check_wiring(spec, wiring, need_a=False, min_ancilla=ancilla_required_plus_k(spec.n))
-    ir.extend(circuit, _emit_cla(spec, wiring, k=k))
-    return BuiltAdder(circuit, wiring)
+def build_plus_k(spec: AdderSpec, k: int) -> BuiltAdder:
+    """In-place B += k: b, carries, then ``ancilla_required_plus_k(n)`` ancilla."""
+    wiring = _canonical(spec, 0, ancilla_required_plus_k(spec.n))
+    circuit = wiring.new_circuit()
+    return BuiltAdder(ir.extend(circuit, cla_gates(spec, wiring, k=k)), wiring)
 
 
-def build_ripple_adder(spec: AdderSpec, wiring: AdderWiring | None = None, circuit: Circuit | None = None) -> BuiltAdder:
-    """Linear-depth in-place adder with zero ancilla."""
-    if wiring is None:
-        wiring = _canonical(spec, spec.n, 0)
-        circuit = wiring.new_circuit()
-    elif circuit is None:
-        raise ValueError("explicit wiring requires the host circuit")
-    _check_wiring(spec, wiring, need_a=True, min_ancilla=0)
-    ir.extend(circuit, _emit_ripple(spec, wiring))
-    return BuiltAdder(circuit, wiring)
+def build_ripple_adder(spec: AdderSpec) -> BuiltAdder:
+    """Linear-depth in-place adder with zero ancilla: a, b, carries."""
+    wiring = _canonical(spec, spec.n, 0)
+    circuit = wiring.new_circuit()
+    return BuiltAdder(ir.extend(circuit, ripple_gates(spec, wiring)), wiring)

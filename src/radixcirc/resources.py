@@ -9,7 +9,6 @@ pre-expansion depth and say so.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, replace
 
@@ -138,11 +137,3 @@ def to_csv_row(r: ResourceReport) -> str:
         anc,
     )
     return ",".join(str(v) for v in vals)
-
-
-def to_csv(reports: list[ResourceReport]) -> str:
-    buf = io.StringIO()
-    buf.write(csv_header() + "\n")
-    for r in reports:
-        buf.write(to_csv_row(r) + "\n")
-    return buf.getvalue()

@@ -33,12 +33,6 @@ class BasisState:
             if not 0 <= d < dim:
                 raise ValueError(f"digit {d} out of range for dim {dim}")
 
-    def replace(self, updates: dict[int, int]) -> "BasisState":
-        digits = list(self.digits)
-        for w, v in updates.items():
-            digits[w] = v
-        return BasisState(tuple(digits), self.dims)
-
 
 def basis_state(circuit: Circuit, digits: Iterable[int]) -> BasisState:
     return BasisState(tuple(digits), circuit.dims)
@@ -67,13 +61,6 @@ def _apply(digits: list[int], dims: tuple[int, ...], g: Gate) -> None:
     else:
         t = g.targets[0]
         digits[t] = _permute_digit(g, digits[t], dims[t])
-
-
-def apply_gate(s: BasisState, g: Gate) -> BasisState:
-    """Apply one gate; identity unless every control matches."""
-    digits = list(s.digits)
-    _apply(digits, s.dims, g)
-    return BasisState(tuple(digits), s.dims)
 
 
 def run(c: Circuit, s: BasisState) -> BasisState:

@@ -48,6 +48,18 @@ def test_plan_geometry_and_sidecar():
     assert d["blocks"] == plan.blocks and d["carry_slots"] == plan.carry_slots
 
 
+def test_plan_layout_built_once_per_carry_variant():
+    plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_241, 12)
+    layouts = {(ci, co): plan.layout(ci, co) for ci in (False, True) for co in (False, True)}
+    for (ci, co), layout in layouts.items():
+        assert plan.layout(ci, co) is layout
+        assert (layout.carry_in is not None, layout.carry_out is not None) == (ci, co)
+    assert plan.layout() is layouts[False, False]
+    # the cache is not part of the plan's value
+    fresh = bb.BlockPlan(plan.mode, plan.scheme, plan.n, plan.c)
+    assert plan == fresh and hash(plan) == hash(fresh)
+
+
 def test_feasibility_checks_agree_at_thresholds():
     for mode, scheme, n, c in THRESHOLDS:
         if c is None:

@@ -40,6 +40,11 @@ def test_build_infeasible_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "infeasible" in err and "2n/c + c - 1" in err
+    # c=13 meets the worst-case bound (16 >= 16) and fails the exact accounting
+    assert run_cli("build", "--kind", "block-adder", "--n", "26", "--scheme", "231") == 2
+    err = capsys.readouterr().err
+    assert "c=13: accounting 12 ancilla per step < 14 needed" in err
+    assert "c=2: bound 8 < 27" in err and "c=26: bound 16 < 27" in err
 
 
 def test_build_missing_flags_exit_2():
@@ -175,3 +180,24 @@ def test_stats_malformed_plan_sidecar_exits_2(tmp_path, field, value):
     plan[field] = value
     sidecar.write_text(json.dumps(plan))
     assert run_cli("stats", str(out)) == 2
+
+
+ONE_GATE = {"kind": "flip", "targets": [0], "params": [0, 1], "controls": []}
+WIRE = {"name": "a", "dim": 2}
+
+
+@pytest.mark.parametrize("doc,plan", [
+    pytest.param({"wires": [WIRE], "gates": [{**ONE_GATE, "targets": 0}]}, None, id="targets-int"),
+    pytest.param({"wires": [WIRE, WIRE], "gates": [{**ONE_GATE, "controls": [5]}]}, None, id="control-int"),
+    pytest.param({"wires": {"a": WIRE}, "gates": []}, None, id="wires-object"),
+    pytest.param([1, 2], None, id="top-level-list"),
+    pytest.param({"wires": [WIRE], "gates": [7]}, None, id="gate-int"),
+    pytest.param({"wires": [WIRE], "gates": [ONE_GATE]}, [], id="plan-list"),
+])
+def test_stats_malformed_document_exits_2(tmp_path, capsys, doc, plan):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    if plan is not None:
+        (tmp_path / "c.plan.json").write_text(json.dumps(plan))
+    assert run_cli("stats", str(path)) == 2
+    assert "error: " in capsys.readouterr().err

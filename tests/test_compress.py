@@ -71,40 +71,24 @@ def test_241_uses_three_two_qudit_gates():
 
 
 def test_decompress_round_trip():
-    for build, dec_scheme in [
-        (cmp.build_compress_231, cmp.SCHEME_231),
-        (cmp.build_compress_241, cmp.SCHEME_241),
-    ]:
-        fwd = cmp.build_compress_241() if dec_scheme is cmp.SCHEME_241 else cmp.build_compress_231()
-        both = ir.concat(fwd, cmp.build_decompress(dec_scheme))
+    for fwd in (cmp.build_compress_231(), cmp.build_compress_241()):
+        both = ir.concat(fwd, ir.inverse(fwd))
         for s in sim.interface_states(fwd):
             assert sim.run(both, s) == s
 
 
-def test_build_decompress_unknown_scheme():
+def test_group_gates_unknown_scheme():
     other = cmp.CompressionScheme(x=2, y=8, z=2, m=4, n_out=2)
-    with pytest.raises(ValueError):
-        cmp.build_decompress(other)
-
-
-def test_dim_checks():
-    with pytest.raises(ir.CircuitError):
-        cmp.build_compress_231(*[ir.Wire(i, n, 2) for i, n in enumerate("ABC")])
-    with pytest.raises(ir.CircuitError):
-        cmp.build_compress_241(ir.Wire(0, "A", 3), ir.Wire(1, "B", 2))
+    with pytest.raises(ValueError, match="no circuit builder for scheme 2-8-2"):
+        cmp.group_gates(other, (0, 1, 2, 3))
 
 
 def test_layout_block_grouping():
     lay = cmp.layout_block(list(range(8)), cmp.SCHEME_231)
-    assert lay.groups == (
-        ((0, 1, 2), (0, 1), (2,)),
-        ((3, 4, 5), (3, 4), (5,)),
-    )
-    assert lay.leftover == (6, 7)
+    assert lay.groups == ((0, 1, 2), (3, 4, 5))
     assert lay.ancilla == (2, 5)
-    d = lay.to_dict()
-    assert d["groups"][0] == {"orig": [0, 1, 2], "storage": [0, 1], "ancilla": [2]}
-    assert d["leftover"] == [6, 7]
+    # wires past the last full group are in no group and stay uncompressed
+    assert not {6, 7} & {w for group in lay.groups for w in group}
     with pytest.raises(ValueError):
         cmp.layout_block([], cmp.SCHEME_231)
 

@@ -12,6 +12,8 @@ from radixcirc.qubit_adders import (
     build_cla_adder,
     build_plus_k,
     build_ripple_adder,
+    cla_gates,
+    ripple_gates,
 )
 
 VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
@@ -34,12 +36,36 @@ def test_ancilla_formula_against_oracle():
 def test_spec_and_wiring_validation():
     with pytest.raises(ValueError):
         AdderSpec(0, False, False)
-    spec = AdderSpec(2, carry_in=False, carry_out=False)
     with pytest.raises(ValueError):
         # a and b overlap
         AdderWiring((0, 1), (1, 2), None, None, (3, 4))
-    with pytest.raises(ValueError):
-        build_cla_adder(spec, wiring=AdderWiring((0, 1), (2, 3), None, None, (4, 5)))
+
+
+# Each emitter checks the layout it is given, so the block builder's layouts are checked too.
+BAD_LAYOUTS = [
+    pytest.param(AdderSpec(2), AdderWiring((0, 1), (2, 3), ancilla=(4,)), None, "insufficient ancilla", id="ancilla"),
+    pytest.param(AdderSpec(2), AdderWiring((0,), (2, 3), ancilla=(4, 5)), None, "A register", id="short-a"),
+    pytest.param(AdderSpec(2), AdderWiring((0, 1), (2,), ancilla=(4, 5)), None, "B register", id="short-b"),
+    pytest.param(AdderSpec(2, carry_in=True), AdderWiring((0, 1), (2, 3), ancilla=(4, 5)), None, "carry-in",
+                 id="no-cin"),
+    pytest.param(AdderSpec(2, carry_out=True), AdderWiring((0, 1), (2, 3), ancilla=(4, 5)), None, "carry-out",
+                 id="no-cout"),
+    pytest.param(AdderSpec(2), AdderWiring((), (0, 1), ancilla=(2,)), 4, "out of range", id="k-too-big"),
+    pytest.param(AdderSpec(2), AdderWiring((), (0, 1), ancilla=(2,)), -1, "out of range", id="k-negative"),
+]
+
+
+@pytest.mark.parametrize("spec,wiring,k,message", BAD_LAYOUTS)
+def test_cla_gates_rejects_bad_layout(spec, wiring, k, message):
+    with pytest.raises(ValueError, match=message):
+        cla_gates(spec, wiring, k=k)
+
+
+def test_ripple_gates_rejects_bad_layout():
+    with pytest.raises(ValueError, match="B register"):
+        ripple_gates(AdderSpec(2), AdderWiring((0, 1), (2,)))
+    with pytest.raises(ValueError, match="carry-out"):
+        ripple_gates(AdderSpec(2, carry_out=True), AdderWiring((0, 1), (2, 3)))
 
 
 def run_adder(built, a, b, cin):
@@ -137,13 +163,6 @@ def test_adders_use_declared_ancilla_budget():
         assert len(built.wiring.ancilla) == ancilla_required(n)
         built = build_plus_k(AdderSpec(n, True, True), 1)
         assert len(built.wiring.ancilla) == ancilla_required_plus_k(n)
-
-
-def test_explicit_wiring_requires_host_circuit():
-    spec = AdderSpec(2, False, False)
-    w = AdderWiring((0, 1), (2, 3), None, None, (4, 5))
-    with pytest.raises(ValueError):
-        build_cla_adder(spec, wiring=w)
 
 
 # README: CLA depth is at most 4*log2(n) + 10 for all n up to 512.  Every

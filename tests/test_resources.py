@@ -62,9 +62,9 @@ def test_json_and_csv_serialization():
     d = r.to_dict()
     assert d["width"] == 3 and d["ancilla_generated"] == 1
     assert sum(e["count"] for e in d["gate_counts"]) == r.total_gates
-    row = resources.to_csv_row(r)
-    assert row.split(",")[0] == "3"
-    text = resources.to_csv([r, resources.expand_cost_model(r)])
-    lines = text.strip().split("\n")
-    assert lines[0] == resources.csv_header()
-    assert len(lines) == 3
+    header = resources.csv_header().split(",")
+    assert header == list(resources.CSV_FIELDS)
+    for report in (r, resources.expand_cost_model(r)):
+        row = dict(zip(header, resources.to_csv_row(report).split(","), strict=True))
+        assert row["width"] == "3" and row["ancilla_generated"] == "1"
+        assert int(row["total_gates"]) == report.total_gates

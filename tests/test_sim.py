@@ -32,19 +32,21 @@ def test_basis_state_validation():
     assert s.digits == (1, 2, 3)
 
 
+def run_one_gate(gate, digits):
+    """``digits`` after ``gate`` alone, on the wires of ``mixed_circuit``."""
+    c = ir.extend(ir.new_circuit(mixed_circuit().wires), [gate])
+    return sim.run(c, sim.basis_state(c, digits)).digits
+
+
 def test_apply_gate_control_gating():
-    c = mixed_circuit()
-    s = sim.basis_state(c, [0, 0, 0])
     # control a=1 not met: identity
-    assert sim.apply_gate(s, ir.incr(1, 1, [(0, 1)])).digits == (0, 0, 0)
-    assert sim.apply_gate(s.replace({0: 1}), ir.incr(1, 1, [(0, 1)])).digits == (1, 1, 0)
+    assert run_one_gate(ir.incr(1, 1, [(0, 1)]), [0, 0, 0]) == (0, 0, 0)
+    assert run_one_gate(ir.incr(1, 1, [(0, 1)]), [1, 0, 0]) == (1, 1, 0)
 
 
 def test_increment_wraps_modulo_dim():
-    c = mixed_circuit()
-    s = sim.basis_state(c, [0, 2, 3])
-    assert sim.apply_gate(s, ir.incr(1, 2)).digits[1] == 1
-    assert sim.apply_gate(s, ir.incr(2, 1)).digits[2] == 0
+    assert run_one_gate(ir.incr(1, 2), [0, 2, 3])[1] == 1
+    assert run_one_gate(ir.incr(2, 1), [0, 2, 3])[2] == 0
 
 
 def test_swap_gate():
