@@ -16,7 +16,9 @@ against the exact accounting.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import compress as cmp
 from . import ir
@@ -113,15 +115,10 @@ class BlockPlan:
         }
 
 
-def _worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> tuple[int, int]:
+def worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> tuple[int, int]:
+    """Both sides of the closed-form bound, which assumes worst-case ancilla demand 2n/c."""
     regs = 2 if mode == MODE_AB else 1
     return ((c - 1) * regs * n) // (scheme.m * c), 2 * n // c + c - 1
-
-
-def worst_case_inequality(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> bool:
-    """Closed-form feasibility bound assuming worst-case ancilla demand 2n/c."""
-    lhs, rhs = _worst_case_sides(mode, scheme, n, c)
-    return lhs >= rhs
 
 
 def exact_accounting(plan: BlockPlan) -> bool:
@@ -131,6 +128,20 @@ def exact_accounting(plan: BlockPlan) -> bool:
 
 def _shortfall(plan: BlockPlan) -> str:
     return f"{plan.ancilla_per_step} ancilla per step < {plan.adder_ancilla + plan.c - 1} needed"
+
+
+def _block_counts(mode: str, scheme: cmp.CompressionScheme, n: int) -> Iterator[tuple[int, str | None]]:
+    """Each block count c >= 2 dividing n, ascending, with the check it fails (None when
+    feasible).  Divisors pair up as (d, n/d) with d <= sqrt(n), so the scan is O(sqrt n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in reversed(small) if d * d != n]
+    for c in divisors[1:]:
+        lhs, rhs = worst_case_sides(mode, scheme, n, c)
+        if lhs < rhs:
+            yield c, f"bound {lhs} < {rhs}"
+            continue
+        plan = BlockPlan(mode, scheme, n, c)
+        yield c, None if exact_accounting(plan) else f"accounting {_shortfall(plan)}"
 
 
 def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan | None:
@@ -144,27 +155,16 @@ def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan |
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError("register size must be >= 1")
-    for c in range(2, n + 1):
-        if n % c:
-            continue
-        if not worst_case_inequality(mode, scheme, n, c):
-            continue
-        plan = BlockPlan(mode, scheme, n, c)
-        if exact_accounting(plan):
-            return plan
+    for c, failed in _block_counts(mode, scheme, n):
+        if failed is None:
+            return BlockPlan(mode, scheme, n, c)
     return None
 
 
 def infeasible_reason(mode: str, scheme: cmp.CompressionScheme, n: int) -> str:
     """Why ``plan_blocks`` finds no plan: the check each block count c | n fails."""
     regs = 2 if mode == MODE_AB else 1
-    fails = []
-    for c in range(2, n + 1):
-        if n % c:
-            continue
-        lhs, rhs = _worst_case_sides(mode, scheme, n, c)
-        check = f"bound {lhs} < {rhs}" if lhs < rhs else f"accounting {_shortfall(BlockPlan(mode, scheme, n, c))}"
-        fails.append(f"c={c}: {check}")
+    fails = [f"c={c}: {failed}" for c, failed in _block_counts(mode, scheme, n) if failed]
     return (f"infeasible (mode {mode}, scheme {scheme.label}, n={n}): no block count c >= 2 dividing n "
             f"passes both the worst-case bound floor((c-1)*{regs}n/({scheme.m}c)) >= 2n/c + c - 1 "
             f"and the exact per-step accounting; " + ("; ".join(fails) or "n has no such c"))

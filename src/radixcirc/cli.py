@@ -60,9 +60,21 @@ def _require(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
+def _scheme(name) -> cmp.CompressionScheme:
+    try:
+        return cmp.scheme_by_name(name)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _require_k(args) -> int:
+    _require(args.k is not None and 0 <= args.k < 1 << args.n, f"--k in [0, 2^{args.n}) is required for kind {args.kind}")
+    return args.k
+
+
 def _block_plan(args) -> bb.BlockPlan:
     mode = bb.MODE_AB if args.kind == "block-adder" else bb.MODE_PLUS_K
-    scheme = cmp.scheme_by_name(args.scheme)
+    scheme = _scheme(args.scheme)
     plan = bb.plan_blocks(mode, scheme, args.n)
     if plan is None:
         raise UsageError(bb.infeasible_reason(mode, scheme, args.n))
@@ -84,13 +96,11 @@ def build_kind(args) -> tuple[Circuit, bb.BlockPlan | None]:
             return build_cla_adder(spec).circuit, None
         if kind == "ripple-adder":
             return build_ripple_adder(spec).circuit, None
-        _require(args.k is not None, "--k is required for kind plus-k")
-        return build_plus_k(spec, args.k).circuit, None
+        return build_plus_k(spec, _require_k(args)).circuit, None
     plan = _block_plan(args)
     if kind == "block-adder":
         return bb.build_block_adder(plan, args.carry_in, args.carry_out), plan
-    _require(args.k is not None, "--k is required for kind block-plus-k")
-    return bb.build_block_plus_k(plan, args.k, args.carry_in, args.carry_out), plan
+    return bb.build_block_plus_k(plan, _require_k(args), args.carry_in, args.carry_out), plan
 
 
 # --- oracles ---------------------------------------------------------------
@@ -124,35 +134,23 @@ def _binary_inputs(width: int, cols: list[int], exhaustive: bool, samples: int, 
     return ins
 
 
-def _bits_to_int(mat: np.ndarray, cols: list[int]) -> np.ndarray:
-    out = np.zeros(mat.shape[0], dtype=object)
-    for i, col in enumerate(cols):
-        out += mat[:, col].astype(object) << i
-    return out
-
-
-def _int_to_bits(vals: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((len(vals), n), dtype=np.int64)
-    for i in range(n):
-        out[:, i] = [(int(v) >> i) & 1 for v in vals]
-    return out
-
-
 def expected_outputs(kind: str, args, layout: AdderWiring | None, ins: np.ndarray) -> np.ndarray:
-    """Independent big-integer / truth-table oracle for each circuit kind."""
+    """Independent oracle for each circuit kind: the compressors' truth tables, and for
+    an adder a ripple-carry over the layout's bit columns, not the circuits' carry-lookahead.
+    A and every wire outside B and the carry-out keep their input values."""
     if layout is None:
         table = TABLE_231 if kind == "compress231" else TABLE_241
         return np.array([table[tuple(int(d) for d in row)] for row in ins], dtype=np.int64)
 
     exp = ins.copy()
-    n = len(layout.b)
-    a_val = _bits_to_int(ins, layout.a) if layout.a else int(args.k)
-    b_val = _bits_to_int(ins, layout.b)
-    cin = ins[:, layout.carry_in] if layout.carry_in is not None else 0
-    tot = a_val + b_val + cin
-    exp[:, list(layout.b)] = _int_to_bits(tot % (1 << n), n)
+    carry = ins[:, layout.carry_in] if layout.carry_in is not None else 0
+    for i, col in enumerate(layout.b):
+        a = ins[:, layout.a[i]] if layout.a else (args.k >> i) & 1
+        b = ins[:, col]
+        exp[:, col] = a ^ b ^ carry
+        carry = (a & b) | (carry & (a ^ b))
     if layout.carry_out is not None:
-        exp[:, layout.carry_out] = [int(t) >> n for t in tot]
+        exp[:, layout.carry_out] = carry
     return exp
 
 
@@ -225,14 +223,30 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
+def _sidecar_plan(plan_file: Path, circ: Circuit) -> bb.BlockPlan:
+    """The plan a sidecar describes, checked against the circuit it sits next to:
+    its registers·n register wires of capacity scheme.y, then at most two carries."""
+    p = json.loads(plan_file.read_text())
+    _require(type(p) is dict, f"plan sidecar {plan_file} must be a JSON object")
+    try:
+        plan = bb.BlockPlan(p["mode"], _scheme(p["scheme"]), p["n"], p["c"])
+    except KeyError as e:
+        raise UsageError(f"plan sidecar {plan_file} lacks {e}") from None
+    except ValueError as e:
+        raise UsageError(f"plan sidecar {plan_file}: {e}") from None
+    reg = plan.registers * plan.n
+    _require(reg <= circ.width <= reg + 2 and circ.dims[:reg] == (plan.scheme.y,) * reg,
+             f"plan sidecar {plan_file} needs {reg} register wires of dim {plan.scheme.y} then at most 2 carries; "
+             f"the {circ.width}-wire circuit differs")
+    return plan
+
+
 def cmd_stats(args) -> int:
     circ = ir.loads(Path(args.circuit).read_text())
     ancilla = None
     plan_file = Path(args.plan) if args.plan else _plan_path(Path(args.circuit))
     if plan_file.exists():
-        p = json.loads(plan_file.read_text())
-        _require(type(p) is dict, f"plan sidecar {plan_file} must be a JSON object")
-        ancilla = bb.BlockPlan(p["mode"], cmp.scheme_by_name(p["scheme"]), p["n"], p["c"]).ancilla_per_step
+        ancilla = _sidecar_plan(plan_file, circ).ancilla_per_step
     r = resources.report(circ, ancilla_generated=ancilla)
     if args.expand_cost_model:
         r = resources.expand_cost_model(r)
@@ -298,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ir.CircuitError, ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (UsageError, ir.CircuitError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

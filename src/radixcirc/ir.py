@@ -205,14 +205,6 @@ def inverse(c: Circuit) -> Circuit:
     return extend(out, invert_gates(c.gates, c.dims))
 
 
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    if a.wires != b.wires:
-        raise CircuitError("concat requires identical wire lists")
-    out = new_circuit(a.wires, a.input_bounds)
-    out.gates = list(a.gates) + list(b.gates)
-    return out
-
-
 def depth(c: Circuit) -> int:
     """ASAP layering; controls occupy their wires like targets."""
     level = [0] * c.width
@@ -248,10 +240,10 @@ def circuit_from_dict(d: dict) -> Circuit:
 
     Repeats of a gate share one frozen ``Gate`` object, which is constructed
     and validated once: validation depends only on the gate and the wires.
-    Every value's JSON type is checked, so a malformed document raises
-    ``CircuitError``.  Gate field types are checked on every gate first,
-    because ``True == 1 == 1.0`` would let a bool or float field match an
-    int gate's sharing key.
+    Every value's JSON type and every required field is checked, so a
+    malformed document raises ``CircuitError``.  Gate field types are
+    checked on every gate first, because ``True == 1 == 1.0`` would let a
+    bool or float field match an int gate's sharing key.
     """
     if type(d) is not dict or type(d.get("wires")) is not list or type(d.get("gates")) is not list:
         raise CircuitError("a circuit document must be an object with 'wires' and 'gates' lists")
@@ -265,14 +257,17 @@ def circuit_from_dict(d: dict) -> Circuit:
     for g in d["gates"]:
         if type(g) is not dict:
             raise CircuitError(f"a gate must be an object, got {g!r}")
-        kind, targets, params, ctl = g["kind"], g["targets"], g["params"], g.get("controls", [])
-        if type(targets) is not list or type(params) is not list or type(ctl) is not list:
-            raise CircuitError(f"gate targets, params and controls must be lists, got {targets!r}, {params!r}, {ctl!r}")
-        controls = []
-        for ct in ctl:
-            if type(ct) is not dict:
-                raise CircuitError(f"a gate control must be an object, got {ct!r}")
-            controls.append((ct["wire"], ct["value"]))
+        try:
+            kind, targets, params, ctl = g["kind"], g["targets"], g["params"], g.get("controls", [])
+            if type(targets) is not list or type(params) is not list or type(ctl) is not list:
+                raise CircuitError(f"gate targets, params and controls must be lists, got {targets!r}, {params!r}, {ctl!r}")
+            controls = []
+            for ct in ctl:
+                if type(ct) is not dict:
+                    raise CircuitError(f"a gate control must be an object, got {ct!r}")
+                controls.append((ct["wire"], ct["value"]))
+        except KeyError as e:
+            raise CircuitError(f"a gate or its control lacks the field {e}: {g!r}") from None
         targets, params, controls = tuple(targets), tuple(params), tuple(controls)
         if type(kind) is not str:
             raise CircuitError(f"gate kind must be a string, got {kind!r}")

@@ -104,12 +104,17 @@ class AdderWiring:
         return ir.new_circuit(wires, input_bounds=(2,) * len(wires))
 
     def encode(self, a: int, b: int, cin: int = 0) -> list[int]:
-        """Input digits, wire 0 first: A, B and the carry-in; 0 on every other wire."""
+        """Input digits, wire 0 first: A, B and the carry-in; 0 on every other wire.
+        A value its register cannot hold raises ``ValueError`` (an absent one holds only 0)."""
         digits = [0] * self.width
-        for reg, value in ((self.a, a), (self.b, b)):
+        for name, reg, value in (("A", self.a, a), ("B", self.b, b)):
+            if not 0 <= value < 1 << len(reg):
+                raise ValueError(f"{name} value {value} does not fit in {len(reg)} bits")
             for i, w in enumerate(reg):
                 digits[w] = (value >> i) & 1
-        if self.carry_in is not None:
+        if cin not in (0, 1) or (cin and self.carry_in is None):
+            raise ValueError(f"carry-in {cin} is not a bit the layout can hold")
+        if cin:
             digits[self.carry_in] = cin
         return digits
 

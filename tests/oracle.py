@@ -1,0 +1,128 @@
+"""Independent test oracle: a dense statevector simulator and basis-state sweeps.
+
+The statevector engine defines the gate semantics itself (``_digit_map``),
+so comparing it with ``sim.run`` and ``sim.run_batch`` compares two
+implementations.  It is capped at 2^20 amplitudes and meant for small
+circuits only.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from radixcirc import ir
+from radixcirc.ir import FLIP, SWAP, Circuit, Gate
+from radixcirc.sim import BasisState
+
+STATEVECTOR_CAP = 1 << 20
+
+
+def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Iterator[BasisState]:
+    """Mixed-radix lexicographic sweep; ``bounds`` restricts per-wire alphabets."""
+    dims = c.dims
+    bounds = bounds or dims
+    for digits in itertools.product(*(range(b) for b in bounds)):
+        yield BasisState(digits, dims)
+
+
+def interface_states(c: Circuit) -> Iterator[BasisState]:
+    """All inputs allowed by the circuit's declared interface bounds."""
+    return all_basis_states(c, c.input_bounds)
+
+
+def forward_then_inverse(c: Circuit) -> Circuit:
+    """``c`` followed by ``ir.inverse(c)``: the identity when inversion is right."""
+    out = ir.new_circuit(c.wires, c.input_bounds)
+    return ir.extend(out, [*c.gates, *ir.inverse(c).gates])
+
+
+@dataclass
+class Statevector:
+    """Dense amplitudes over the mixed-radix basis, wire 0 most significant."""
+
+    amps: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self):
+        total = int(np.prod(self.dims)) if self.dims else 1
+        if self.amps.shape != (total,):
+            raise ValueError(f"expected {total} amplitudes, got {self.amps.shape}")
+
+    @property
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.amps) ** 2))
+
+
+def state_index(digits: Iterable[int], dims: tuple[int, ...]) -> int:
+    idx = 0
+    for d, dim in zip(digits, dims):
+        idx = idx * dim + d
+    return idx
+
+
+def statevector_from_basis(s: BasisState) -> Statevector:
+    total = int(np.prod(s.dims)) if s.dims else 1
+    amps = np.zeros(total, dtype=complex)
+    amps[state_index(s.digits, s.dims)] = 1.0
+    return Statevector(amps, s.dims)
+
+
+def uniform_statevector(c: Circuit) -> Statevector:
+    total = int(np.prod(c.dims)) if c.dims else 1
+    amps = np.full(total, 1.0 / np.sqrt(total), dtype=complex)
+    return Statevector(amps, c.dims)
+
+
+def _digit_map(g: Gate, dim: int) -> np.ndarray:
+    """Image of each digit 0..dim-1 under a flip or increment on its target."""
+    lut = np.arange(dim)
+    if g.kind == FLIP:
+        i, j = g.params
+        lut[i], lut[j] = j, i
+        return lut
+    return (lut + g.params[0]) % dim
+
+
+def _gate_permutation(c: Circuit, g: Gate) -> np.ndarray:
+    """Index permutation pi with |x> -> |pi(x)>, built from digit arithmetic."""
+    dims = c.dims
+    total = int(np.prod(dims)) if dims else 1
+    strides = np.ones(c.width, dtype=np.int64)
+    for i in range(c.width - 2, -1, -1):
+        strides[i] = strides[i + 1] * dims[i + 1]
+    idx = np.arange(total, dtype=np.int64)
+
+    def digit(w: int) -> np.ndarray:
+        return (idx // strides[w]) % dims[w]
+
+    mask = np.ones(total, dtype=bool)
+    for w, v in g.controls:
+        mask &= digit(w) == v
+    pi = idx.copy()
+    if g.kind == SWAP:
+        t0, t1 = g.targets
+        d0, d1 = digit(t0), digit(t1)
+        pi[mask] += ((d1 - d0) * strides[t0] + (d0 - d1) * strides[t1])[mask]
+    else:
+        t = g.targets[0]
+        dt = digit(t)
+        pi[mask] += ((_digit_map(g, dims[t])[dt] - dt) * strides[t])[mask]
+    return pi
+
+
+def run_statevector(c: Circuit, v: Statevector) -> Statevector:
+    total = int(np.prod(c.dims)) if c.dims else 1
+    if total > STATEVECTOR_CAP:
+        raise ValueError(f"state space {total} exceeds statevector cap {STATEVECTOR_CAP}")
+    if v.dims != c.dims:
+        raise ValueError("statevector dims do not match circuit wires")
+    amps = v.amps
+    for g in c.gates:
+        pi = _gate_permutation(c, g)
+        out = np.empty_like(amps)
+        out[pi] = amps
+        amps = out
+    return Statevector(amps, c.dims)

@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
 from radixcirc import ir, sim
+
+import oracle
 
 THRESHOLDS = [
     (bb.MODE_AB, cmp.SCHEME_231, 30, 5),
@@ -31,6 +35,16 @@ def test_plan_blocks_bad_args():
         bb.plan_blocks("mystery", cmp.SCHEME_231, 30)
     with pytest.raises(ValueError):
         bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, 0)
+
+
+def test_plan_scan_visits_divisors_only():
+    # A prime n has no block count; a scan over every c up to n took 0.1 s here.
+    n = 2_000_003
+    for fn in (bb.plan_blocks, bb.infeasible_reason):
+        t0 = time.perf_counter()
+        fn(bb.MODE_AB, cmp.SCHEME_231, n)
+        assert time.perf_counter() - t0 < 0.05
+    assert bb.infeasible_reason(bb.MODE_AB, cmp.SCHEME_231, n).endswith("; c=2000003: bound 1333334 < 2000004")
 
 
 def test_plan_geometry_and_sidecar():
@@ -64,7 +78,8 @@ def test_feasibility_checks_agree_at_thresholds():
     for mode, scheme, n, c in THRESHOLDS:
         if c is None:
             continue
-        assert bb.worst_case_inequality(mode, scheme, n, c)
+        lhs, rhs = bb.worst_case_sides(mode, scheme, n, c)
+        assert lhs >= rhs
         assert bb.exact_accounting(bb.BlockPlan(mode, scheme, n, c))
 
 
@@ -131,6 +146,28 @@ def test_mode_mismatch_rejected():
         bb.build_block_plus_k(kplan, 1 << 60)
 
 
+@pytest.mark.parametrize("values", [
+    pytest.param({"b_value": 4096}, id="b-too-wide"),
+    pytest.param({"b_value": -1}, id="b-negative"),
+    pytest.param({"b_value": 0, "a_value": 8192}, id="a-too-wide"),
+    pytest.param({"b_value": 0, "cin": 1}, id="cin-without-wire"),
+    pytest.param({"b_value": 0, "cin": 2, "carry_in": True}, id="cin-not-a-bit"),
+])
+def test_encode_input_rejects_values_that_do_not_fit(values):
+    plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_241, 12)
+    with pytest.raises(ValueError):
+        bb.encode_input(plan, **values)
+    top = (1 << 12) - 1
+    assert bb.encode_input(plan, b_value=top, a_value=top, cin=1, carry_in=True) == [1] * 25
+
+
+def test_encode_input_plus_k_takes_no_a_value():
+    plan = bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 60)
+    with pytest.raises(ValueError):
+        bb.encode_input(plan, b_value=5, a_value=3)
+    assert bb.encode_input(plan, b_value=5, a_value=0) == bb.encode_input(plan, b_value=5)
+
+
 def test_infeasible_plan_rejected_by_builder():
     plan = bb.BlockPlan(bb.MODE_AB, cmp.SCHEME_231, 30, 15)
     assert not bb.exact_accounting(plan)
@@ -154,7 +191,7 @@ def test_intermediate_digits_bounded_by_scheme():
 def test_inverse_block_adder_round_trip():
     plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_241, 12)
     circ = bb.build_block_adder(plan, carry_in=True, carry_out=True)
-    both = ir.concat(circ, ir.inverse(circ))
+    both = oracle.forward_then_inverse(circ)
     rng = np.random.default_rng(10)
     states = rng.integers(0, 2, size=(100, circ.width))
     out, _ = sim.run_batch(both, states)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from radixcirc import block_builder as bb
 from radixcirc import cli, ir
 
 
@@ -201,3 +203,111 @@ def test_stats_malformed_document_exits_2(tmp_path, capsys, doc, plan):
         (tmp_path / "c.plan.json").write_text(json.dumps(plan))
     assert run_cli("stats", str(path)) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_stats_rejects_sidecar_of_other_circuit(tmp_path, capsys):
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(small))
+    run_cli("build", "--kind", "block-adder", "--n", "30", "--scheme", "231", "--out", str(big))
+    capsys.readouterr()
+    assert run_cli("stats", str(small), "--plan", str(tmp_path / "big.plan.json")) == 2
+    assert "60 register wires of dim 3" in capsys.readouterr().err
+    assert run_cli("stats", str(big), "--plan", str(tmp_path / "small.plan.json")) == 2
+    assert run_cli("stats", str(small), "--plan", str(tmp_path / "small.plan.json")) == 0
+
+
+def test_stats_sidecar_lacking_a_field_exits_2(tmp_path, capsys):
+    out = tmp_path / "blk.json"
+    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
+    sidecar = tmp_path / "blk.plan.json"
+    plan = json.loads(sidecar.read_text())
+    del plan["scheme"]
+    sidecar.write_text(json.dumps(plan))
+    assert run_cli("stats", str(out)) == 2
+    assert "lacks 'scheme'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["build", "--kind", "plus-k", "--n", "4", "--k", "-1"], id="plus-k-negative"),
+    pytest.param(["verify", "--kind", "plus-k", "--n", "4", "--k", "16", "--exhaustive"], id="plus-k-too-wide"),
+    pytest.param(["build", "--kind", "block-plus-k", "--n", "60", "--scheme", "241", "--k", "-1"], id="block-plus-k-negative"),
+    pytest.param(["build", "--kind", "block-adder", "--n", "30", "--scheme", "259"], id="unknown-scheme"),
+])
+def test_out_of_range_flags_exit_2(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_gate_without_kind_exits_2(tmp_path, capsys):
+    gate = {key: value for key, value in ONE_GATE.items() if key != "kind"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"wires": [WIRE], "gates": [gate]}))
+    assert run_cli("stats", str(path)) == 2
+    assert "lacks the field 'kind'" in capsys.readouterr().err
+
+
+def test_stats_non_utf8_file_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert run_cli("stats", str(bad)) == 2
+
+
+def test_internal_errors_escape_main(monkeypatch):
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(bb, "plan_blocks", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli("build", "--kind", "block-adder", "--n", "30", "--scheme", "231")
+
+
+# --- the adder oracle against big integers ----------------------------------
+
+def big_int_expected(args, layout, ins):
+    """The adder oracle as big-integer arithmetic: the reference for the ripple-carry."""
+
+    def value(cols):
+        out = np.zeros(ins.shape[0], dtype=object)
+        for i, col in enumerate(cols):
+            out += ins[:, col].astype(object) << i
+        return out
+
+    n = len(layout.b)
+    addend = value(layout.a) if layout.a else int(args.k)
+    cin = ins[:, layout.carry_in] if layout.carry_in is not None else 0
+    total = addend + value(layout.b) + cin
+    exp = ins.copy()
+    for i, col in enumerate(layout.b):
+        exp[:, col] = [(int(t) >> i) & 1 for t in total]
+    if layout.carry_out is not None:
+        exp[:, layout.carry_out] = [int(t) >> n for t in total]
+    return exp
+
+
+ADDER_CASES = [
+    ("cla-adder", 5, "231"),
+    ("ripple-adder", 5, "231"),
+    ("plus-k", 5, "231"),
+    ("block-adder", 30, "231"),
+    ("block-adder", 12, "241"),
+    ("block-plus-k", 60, "241"),
+]
+
+
+@pytest.mark.parametrize("kind,n,scheme", ADDER_CASES)
+@pytest.mark.parametrize("carry_in,carry_out", [(False, False), (False, True), (True, False), (True, True)])
+def test_expected_outputs_matches_big_int(kind, n, scheme, carry_in, carry_out):
+    rng = np.random.default_rng(n)
+    plus_k = kind.endswith("plus-k")
+    ks = [0, (1 << n) - 1, int(rng.integers(0, 1 << n))] if plus_k else [None]
+    for k in ks:
+        argv = ["verify", "--kind", kind, "--n", str(n), "--scheme", scheme, "--samples", "1"]
+        argv += ["--carry-in"] * carry_in + ["--carry-out"] * carry_out + (["--k", str(k)] if plus_k else [])
+        args = cli.make_parser().parse_args(argv)
+        _, plan = cli.build_kind(args)
+        layout = cli.register_layout(args, plan)
+        ins = np.zeros((202, layout.width), dtype=np.int64)
+        ins[1, layout.inputs] = 1  # all ones, carry-in 1 when present
+        ins[2:, layout.inputs] = rng.integers(0, 2, size=(200, len(layout.inputs)))
+        exp = cli.expected_outputs(kind, args, layout, ins)
+        assert (exp == big_int_expected(args, layout, ins)).all()

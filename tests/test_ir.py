@@ -79,17 +79,6 @@ def test_inverse_reverses_and_negates_increments():
     assert kinds == [("incr", (3,)), ("flip", (1, 3)), ("incr", (1,))]
 
 
-def test_concat_requires_same_wires():
-    a = ir.new_circuit(three_wires())
-    b = ir.new_circuit(three_wires())
-    ir.append_gate(a, ir.x(0))
-    ir.append_gate(b, ir.incr(1, 1))
-    ab = ir.concat(a, b)
-    assert [g.kind for g in ab.gates] == ["flip", "incr"]
-    with pytest.raises(CircuitError):
-        ir.concat(a, ir.new_circuit(three_wires()[:2]))
-
-
 def test_depth_counts_controls_as_occupancy():
     wires = ir.binary_wires(["a", "b", "c", "d"])
     c = ir.new_circuit(wires)
