@@ -17,7 +17,8 @@ against the exact accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator
 
 from . import compress as cmp
@@ -27,6 +28,8 @@ from .qubit_adders import AdderSpec, AdderWiring, ancilla_required, ancilla_requ
 
 MODE_AB = "a+b"
 MODE_PLUS_K = "+k"
+# Registers per mode: A and B for a+b, B alone for +k.
+_REGISTERS = {MODE_AB: 2, MODE_PLUS_K: 1}
 
 
 class InfeasiblePlan(ValueError):
@@ -46,14 +49,14 @@ class BlockPlan:
 
     def __post_init__(self):
         # Plans are also read back from sidecar JSON, so check the field types.
-        if self.mode not in (MODE_AB, MODE_PLUS_K):
+        if self.mode not in _REGISTERS:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if type(self.n) is not int or type(self.c) is not int or not 1 <= self.c <= self.n:
-            raise ValueError(f"plan needs ints 1 <= c <= n, got n={self.n!r}, c={self.c!r}")
+        if type(self.n) is not int or type(self.c) is not int or not 1 <= self.c <= self.n or self.n % self.c:
+            raise ValueError(f"plan needs ints 1 <= c <= n with c dividing n, got n={self.n!r}, c={self.c!r}")
 
     @property
     def registers(self) -> int:
-        return 2 if self.mode == MODE_AB else 1
+        return _REGISTERS[self.mode]
 
     @property
     def block_bits(self) -> int:
@@ -85,13 +88,15 @@ class BlockPlan:
         """Each block's register wires, ascending."""
         return [sorted(a + b) for a, b in self.block_registers()]
 
-    def block_layout(self, j: int) -> cmp.CompressedLayout:
-        return cmp.layout_block(self.blocks[j], self.scheme)
+    @cached_property
+    def block_layouts(self) -> tuple[cmp.CompressedLayout, ...]:
+        """Each block's compression groups and the ancilla they free."""
+        return tuple(cmp.layout_block(block, self.scheme) for block in self.blocks)
 
     @property
     def carry_slots(self) -> list[int]:
         """Carry slot for step j lives on block j's first generated ancilla."""
-        return [self.block_layout(j).ancilla[0] for j in range(self.c - 1)]
+        return [blk.ancilla[0] for blk in self.block_layouts[:-1]]
 
     @property
     def ancilla_per_step(self) -> int:
@@ -117,8 +122,7 @@ class BlockPlan:
 
 def worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> tuple[int, int]:
     """Both sides of the closed-form bound, which assumes worst-case ancilla demand 2n/c."""
-    regs = 2 if mode == MODE_AB else 1
-    return ((c - 1) * regs * n) // (scheme.m * c), 2 * n // c + c - 1
+    return ((c - 1) * _REGISTERS[mode] * n) // (scheme.m * c), 2 * n // c + c - 1
 
 
 def exact_accounting(plan: BlockPlan) -> bool:
@@ -151,7 +155,7 @@ def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan |
     planned.  A candidate must pass both the worst-case inequality and the
     exact per-step accounting.
     """
-    if mode not in (MODE_AB, MODE_PLUS_K):
+    if mode not in _REGISTERS:
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError("register size must be >= 1")
@@ -163,121 +167,83 @@ def plan_blocks(mode: str, scheme: cmp.CompressionScheme, n: int) -> BlockPlan |
 
 def infeasible_reason(mode: str, scheme: cmp.CompressionScheme, n: int) -> str:
     """Why ``plan_blocks`` finds no plan: the check each block count c | n fails."""
-    regs = 2 if mode == MODE_AB else 1
     fails = [f"c={c}: {failed}" for c, failed in _block_counts(mode, scheme, n) if failed]
     return (f"infeasible (mode {mode}, scheme {scheme.label}, n={n}): no block count c >= 2 dividing n "
-            f"passes both the worst-case bound floor((c-1)*{regs}n/({scheme.m}c)) >= 2n/c + c - 1 "
+            f"passes both the worst-case bound floor((c-1)*{_REGISTERS[mode]}n/({scheme.m}c)) >= 2n/c + c - 1 "
             f"and the exact per-step accounting; " + ("; ".join(fails) or "n has no such c"))
 
 
 # --- construction ----------------------------------------------------------
 
-class _Builder:
-    def __init__(self, plan: BlockPlan, carry_in: bool, carry_out: bool, k: int | None):
-        self.plan = plan
-        self.k = k
-        if plan.mode == MODE_PLUS_K:
-            if k is None:
-                raise ValueError("+k mode requires the constant")
-            if not 0 <= k < (1 << plan.n):
-                raise ValueError(f"constant {k} out of range for {plan.n} bits")
-        elif k is not None:
-            raise ValueError("a+b mode takes no constant")
-        if not exact_accounting(plan):
-            raise InfeasiblePlan(
-                f"plan (mode={plan.mode}, scheme={plan.scheme.label}, n={plan.n}, c={plan.c}): {_shortfall(plan)}"
-            )
-        self.layout = plan.layout(carry_in, carry_out)
-        self.registers = plan.block_registers()
-        self.compressed = [plan.block_layout(j) for j in range(plan.c)]
-        self.slots = plan.carry_slots
+def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Circuit:
+    """The block schedule in one pass.
 
-    def compress_gates(self, j: int) -> list[Gate]:
-        return cmp.block_gates(self.plan.scheme, self.compressed[j])
+    Forward: compress blocks 1..c-1; then for each block j, decompress it, add
+    it, and (but for the last block) recompress it and park its carry-out in
+    block j's carry slot.  Undo, for j = c-2 down to 0: recompress block j+1,
+    unpark carry j, decompress block j and clear the carry by running step j's
+    adder inverted, then again without a carry-out.  Final: decompress blocks
+    1..c-1.  Each block's compressor and each step's sub-adders are built once.
+    """
+    if not exact_accounting(plan):
+        raise InfeasiblePlan(
+            f"plan (mode={plan.mode}, scheme={plan.scheme.label}, n={plan.n}, c={plan.c}): {_shortfall(plan)}"
+        )
+    layout = plan.layout(carry_in, carry_out)
+    circ = layout.new_circuit(plan.scheme.y)
+    dims = circ.dims
+    c, nb, need, slots = plan.c, plan.block_bits, plan.adder_ancilla, plan.carry_slots
+    compress = [cmp.block_gates(plan.scheme, blk) for blk in plan.block_layouts]
+    decompress = [ir.invert_gates(gates, dims) for gates in compress]
 
-    def decompress_gates(self, j: int, dims) -> list[Gate]:
-        return ir.invert_gates(self.compress_gates(j), dims)
+    def sub_adder(j: int, wiring: AdderWiring) -> list[Gate]:
+        spec = AdderSpec(nb, carry_in=wiring.carry_in is not None, carry_out=wiring.carry_out is not None)
+        return cla_gates(spec, wiring, k=None if k is None else (k >> (j * nb)) & ((1 << nb) - 1))
 
-    def pool(self, active: int, live_slots: int) -> list[int]:
-        """Usable generated ancilla while block ``active`` is decompressed."""
-        live = set(self.slots[:live_slots])
-        out = []
-        for j in range(self.plan.c):
-            if j == active:
-                continue
-            out += [a for a in self.compressed[j].ancilla if a not in live]
-        return sorted(out)
+    # Step j adds block j with carry-in from the previous step's slot.  Its ancilla
+    # and carry-out come from the other blocks' freed wires that hold no parked carry.
+    steps: list[tuple[AdderWiring, list[Gate]]] = []
+    for j, (a, b) in enumerate(plan.block_registers()):
+        parked = set(slots[:j])
+        pool = sorted(w for i, blk in enumerate(plan.block_layouts) if i != j for w in blk.ancilla if w not in parked)
+        cin = layout.carry_in if j == 0 else slots[j - 1]
+        cout = pool[need] if j < c - 1 else layout.carry_out
+        wiring = AdderWiring(a, b, cin, cout, tuple(pool[:need]))
+        steps.append((wiring, sub_adder(j, wiring)))
 
-    def adder_gates(self, j: int, cin: int | None, cout: int | None, ancilla: list[int]) -> list[Gate]:
-        nb = self.plan.block_bits
-        a, b = self.registers[j]
-        spec = AdderSpec(nb, carry_in=cin is not None, carry_out=cout is not None)
-        k_j = None if self.k is None else (self.k >> (j * nb)) & ((1 << nb) - 1)
-        return cla_gates(spec, AdderWiring(a, b, cin, cout, tuple(ancilla)), k=k_j)
-
-    def forward_gates(self, dims) -> list[Gate]:
-        plan = self.plan
-        gates: list[Gate] = []
-        for j in range(1, plan.c):
-            gates += self.compress_gates(j)
-        for j in range(plan.c):
-            if j > 0:
-                gates += self.decompress_gates(j, dims)
-            cin = self.layout.carry_in if j == 0 else self.slots[j - 1]
-            pool = self.pool(j, live_slots=j)
-            internal = pool[: plan.adder_ancilla]
-            if j < plan.c - 1:
-                cout = pool[plan.adder_ancilla]
-            else:
-                cout = self.layout.carry_out
-            gates += self.adder_gates(j, cin, cout, internal)
-            if j < plan.c - 1:
-                gates += self.compress_gates(j)
-                gates.append(swap(cout, self.slots[j]))
-        return gates
-
-    def undo_gates(self, dims) -> list[Gate]:
-        plan = self.plan
-        gates: list[Gate] = []
-        for j in range(plan.c - 2, -1, -1):
-            gates += self.compress_gates(j + 1)
-            pool = self.pool(j, live_slots=j)
-            internal = pool[: plan.adder_ancilla]
-            tmp = pool[plan.adder_ancilla]
-            gates.append(swap(self.slots[j], tmp))
-            gates += self.decompress_gates(j, dims)
-            cin = self.layout.carry_in if j == 0 else self.slots[j - 1]
-            gates += ir.invert_gates(self.adder_gates(j, cin, tmp, internal), dims)
-            gates += self.adder_gates(j, cin, None, internal)
-        return gates
-
-    def final_gates(self, dims) -> list[Gate]:
-        gates: list[Gate] = []
-        for j in range(1, self.plan.c):
-            gates += self.decompress_gates(j, dims)
-        return gates
-
-    def build(self) -> Circuit:
-        circ = self.layout.new_circuit(self.plan.scheme.y)
-        dims = circ.dims
-        ir.extend(circ, self.forward_gates(dims))
-        ir.extend(circ, self.undo_gates(dims))
-        ir.extend(circ, self.final_gates(dims))
-        return circ
+    gates = [g for j in range(1, c) for g in compress[j]]
+    for j, (wiring, cla) in enumerate(steps):
+        if j:
+            gates += decompress[j]
+        gates += cla
+        if j < c - 1:
+            gates += compress[j]
+            gates.append(swap(wiring.carry_out, slots[j]))
+    for j in range(c - 2, -1, -1):
+        wiring, cla = steps[j]
+        gates += compress[j + 1]
+        gates.append(swap(slots[j], wiring.carry_out))
+        gates += decompress[j]
+        gates += ir.invert_gates(cla, dims)
+        gates += sub_adder(j, replace(wiring, carry_out=None))
+    gates += [g for j in range(1, c) for g in decompress[j]]
+    return ir.extend(circ, gates)
 
 
 def build_block_adder(plan: BlockPlan, carry_in: bool = False, carry_out: bool = False) -> Circuit:
     """The in-place A+B block adder over exactly 2n register wires."""
     if plan.mode != MODE_AB:
         raise ValueError(f"plan mode is {plan.mode!r}, expected {MODE_AB!r}")
-    return _Builder(plan, carry_in, carry_out, None).build()
+    return _emit(plan, None, carry_in, carry_out)
 
 
 def build_block_plus_k(plan: BlockPlan, k: int, carry_in: bool = False, carry_out: bool = False) -> Circuit:
     """The in-place B += k block adder over exactly n register wires."""
     if plan.mode != MODE_PLUS_K:
         raise ValueError(f"plan mode is {plan.mode!r}, expected {MODE_PLUS_K!r}")
-    return _Builder(plan, carry_in, carry_out, k).build()
+    if k is None or not 0 <= k < (1 << plan.n):
+        raise ValueError(f"constant {k} out of range for {plan.n} bits")
+    return _emit(plan, k, carry_in, carry_out)
 
 
 # --- encode/decode helpers for oracles and the CLI -------------------------

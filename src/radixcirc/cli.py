@@ -160,7 +160,7 @@ def run_verify(args) -> int:
     circ = built_circ
     if args.circuit:
         circ = ir.loads(Path(args.circuit).read_text())
-        _require(circ.width == built_circ.width, "circuit file width does not match kind flags")
+        _require(circ.dims == built_circ.dims, "circuit file wire dims do not match kind flags")
 
     layout = register_layout(args, plan)
     cols = list(range(circ.width)) if layout is None else layout.inputs
@@ -178,7 +178,7 @@ def run_verify(args) -> int:
 
     if kind in COMPRESS_KINDS:
         # Round trip: decompression must restore every binary input.
-        back, _ = sim.run_batch(ir.inverse(built_circ) if args.circuit is None else ir.inverse(circ), out)
+        back, _ = sim.run_batch(ir.inverse(circ), out)
         bad = np.nonzero((back != ins).any(axis=1))[0]
         if bad.size:
             i = int(bad[0])

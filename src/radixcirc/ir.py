@@ -187,16 +187,11 @@ def extend(c: Circuit, gates: Iterable[Gate]) -> Circuit:
     return c
 
 
-def invert_gate(g: Gate, dims: Sequence[int]) -> Gate:
-    """Inverse of a single gate: increments become d-k, flips/swaps are self-inverse."""
-    if g.kind == INCR:
-        d = dims[g.targets[0]]
-        return Gate(INCR, g.targets, (d - g.params[0],), g.controls)
-    return g
-
-
 def invert_gates(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
-    return [invert_gate(g, dims) for g in reversed(gates)]
+    """The gates in reverse order, each inverted: an increment by k becomes one by
+    d-k on its dim-d target; flips and swaps are self-inverse."""
+    return [Gate(INCR, g.targets, (dims[g.targets[0]] - g.params[0],), g.controls) if g.kind == INCR else g
+            for g in reversed(gates)]
 
 
 def inverse(c: Circuit) -> Circuit:

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
@@ -55,11 +57,17 @@ def test_plan_geometry_and_sidecar():
     assert len(plan.carry_slots) == plan.c - 1
     # a carry slot is an ancilla of its own block
     for j, slot in enumerate(plan.carry_slots):
-        assert slot in plan.block_layout(j).ancilla
+        assert slot in plan.block_layouts[j].ancilla
     d = plan.to_dict()
     assert set(d) == {"mode", "scheme", "n", "c", "blocks", "carry_slots"}
     assert d["mode"] == "a+b" and d["scheme"] == "2-4-1" and d["n"] == 12 and d["c"] == 4
     assert d["blocks"] == plan.blocks and d["carry_slots"] == plan.carry_slots
+
+
+def test_plan_rejects_block_count_not_dividing_n():
+    # n=13, c=4 used to build an adder that ignored the top bit: 4096 + 4096 gave 4096.
+    with pytest.raises(ValueError, match="c dividing n"):
+        bb.BlockPlan(bb.MODE_AB, cmp.SCHEME_241, 13, 4)
 
 
 def test_plan_layout_built_once_per_carry_variant():
@@ -205,3 +213,75 @@ def test_block_adder_231_depth_matches_readme(carry_in, carry_out):
     for n, depth in [(30, 314), (240, 474 if carry_out else 473)]:
         plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n)
         assert ir.depth(bb.build_block_adder(plan, carry_in, carry_out)) == depth
+
+
+def test_build_makes_each_compressor_and_sub_adder_once(monkeypatch):
+    calls = {"block_gates": 0, "cla_gates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cmp, "block_gates", counted("block_gates", cmp.block_gates))
+    monkeypatch.setattr(bb, "cla_gates", counted("cla_gates", bb.cla_gates))
+    for plan, build in [
+        (bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, 240), lambda p: bb.build_block_adder(p, carry_out=True)),
+        (bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 60), lambda p: bb.build_block_plus_k(p, 12345, True, True)),
+    ]:
+        calls.update(block_gates=0, cla_gates=0)
+        build(plan)
+        assert calls == {"block_gates": plan.c, "cla_gates": 2 * plan.c - 1}
+
+
+# Every feasible plan up to n=240: both modes, both schemes.
+FEASIBLE = [plan for mode in (bb.MODE_AB, bb.MODE_PLUS_K) for scheme in (cmp.SCHEME_231, cmp.SCHEME_241)
+            for n in range(1, 241) if (plan := bb.plan_blocks(mode, scheme, n)) is not None]
+CARRIES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.sampled_from(FEASIBLE), st.sampled_from(CARRIES), st.integers(0, 2**32 - 1))
+def _plan_space_property(plan, carries, seed):
+    carry_in, carry_out = carries
+    n, rng = plan.n, np.random.default_rng(seed)
+    assert bb.exact_accounting(plan)
+    lhs, rhs = bb.worst_case_sides(plan.mode, plan.scheme, n, plan.c)
+    assert lhs >= rhs
+
+    def value():
+        return int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n)
+
+    ab = plan.mode == bb.MODE_AB
+    k = None if ab else value()
+    circ = bb.build_block_adder(plan, carry_in, carry_out) if ab else bb.build_block_plus_k(plan, k, carry_in, carry_out)
+    ones = (1 << n) - 1
+    rows = [(value(), value(), int(rng.integers(0, 2)) if carry_in else 0) for _ in range(8)]
+    rows.append((ones, ones, int(carry_in)))
+    ins = np.array([bb.encode_input(plan, b, a if ab else None, cin, carry_in, carry_out) for a, b, cin in rows])
+    out, max_digit = sim.run_batch(circ, ins, track_max=True)
+    assert max_digit <= plan.scheme.y - 1
+    assert (out <= 1).all()
+    layout = plan.layout(carry_in, carry_out)
+    changed = {*layout.b, layout.carry_out}
+    kept = [w for w in range(circ.width) if w not in changed]
+    assert (out[:, kept] == ins[:, kept]).all()  # A, the carry-in and every ancilla
+    for row, (a, b, cin) in zip(out, rows):
+        total = (a if ab else k) + b + cin
+        a_out, s_out, cout = bb.decode_output(plan, row, carry_in, carry_out)
+        assert s_out == total % (1 << n)
+        assert a_out == (a if ab else None)
+        assert cout == (total >> n if carry_out else None)
+
+    digits = rng.integers(0, np.array(circ.dims), size=(8, circ.width))
+    back, _ = sim.run_batch(oracle.forward_then_inverse(circ), digits)
+    assert (back == digits).all()
+
+
+def test_property_block_adder_over_plan_space():
+    assert len(FEASIBLE) == 535
+    # The whole property run stays inside a 15 s budget of the tier-1 suite.
+    t0 = time.perf_counter()
+    _plan_space_property()
+    assert time.perf_counter() - t0 < 15

@@ -102,6 +102,16 @@ def test_verify_corrupted_circuit_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_circuit_of_other_scheme_exits_2(tmp_path, capsys):
+    # Same width, different wire dims: a 2-3-1 block adder is not a 2-4-1 one.
+    out = tmp_path / "b.json"
+    run_cli("build", "--kind", "block-adder", "--n", "30", "--scheme", "231", "--carry-out", "--out", str(out))
+    flags = ["--kind", "block-adder", "--n", "30", "--carry-out", "--samples", "500", "--circuit", str(out)]
+    assert run_cli("verify", *flags, "--scheme", "231") == 0
+    assert run_cli("verify", *flags, "--scheme", "241") == 2
+    assert "wire dims do not match" in capsys.readouterr().err
+
+
 def test_verify_exhaustive_too_large_exits_2():
     assert run_cli("verify", "--kind", "cla-adder", "--n", "16", "--exhaustive") == 2
 
@@ -173,7 +183,7 @@ def test_verify_corrupted_block_adder_exits_1(tmp_path, capsys):
     assert "FAIL block-adder" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("mode", "a-b")])
+@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("mode", "a-b")])
 def test_stats_malformed_plan_sidecar_exits_2(tmp_path, field, value):
     out = tmp_path / "blk.json"
     run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))

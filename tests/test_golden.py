@@ -12,6 +12,7 @@ from radixcirc import cli, ir
 
 K78 = int("10" * 39, 2)
 K36 = int("10" * 18, 2)
+K240 = int("10" * 120, 2)
 
 GOLDEN = [
     ("block-adder --n 30 --scheme 231 --carry-out", "fddf70d49932ce98cff9781df7bfe98f9d9848022a9e5e58814e5665abb87df0"),
@@ -24,6 +25,12 @@ GOLDEN = [
     ("ripple-adder --n 30 --carry-in --carry-out", "27064f2579f378b610be9ac4057e61b36cb8ceb39e2e7090da6c3a7d2f056801"),
     ("compress231", "afa54eac2ae82b528df594be36d2d5e9e75afc3271b627b1b9664c73d03a45d3"),
     ("compress241", "05ff7bbdfe12941e03d9ed36e30097b137b08efd783291ed998c8b74b01f5210"),
+    # The five n=240 build-flagship configurations.
+    ("block-adder --n 240 --scheme 231 --carry-out", "16e34d47219ea7eb8fa95b69b1a5b79484e3daba0f323bd1ef66928cc2a2117a"),
+    ("block-adder --n 240 --scheme 241 --carry-out", "9ff55e2f64dc1f12a2dd93a8f3550b25a902553b59b8f6bb8ec4db6d781caa3c"),
+    (f"block-plus-k --n 240 --scheme 231 --carry-out --k {K240}", "82133cc43a99af9ba3872c0915f724b5284433fde5b762c9594e199ea65c626b"),
+    (f"block-plus-k --n 240 --scheme 241 --carry-in --carry-out --k {K240}", "4a6c6457bbbdd25456ba87534b3d4b6a66e78878ccf8a08bf0ddff5c37f8ac44"),
+    ("cla-adder --n 240 --carry-out", "8a61b493e4569bfcd97419cc1943ab72ffe34036cd0ae121b803c84b6184c7e0"),
 ]
 
 
