@@ -24,7 +24,7 @@ from typing import Iterator
 from . import compress as cmp
 from . import ir
 from .ir import Circuit, Gate, swap
-from .qubit_adders import AdderSpec, AdderWiring, ancilla_required, ancilla_required_plus_k, cla_gates
+from .qubit_adders import AdderWiring, ancilla_required, ancilla_required_plus_k, cla_gates
 
 MODE_AB = "a+b"
 MODE_PLUS_K = "+k"
@@ -197,8 +197,7 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
     decompress = [ir.invert_gates(gates, dims) for gates in compress]
 
     def sub_adder(j: int, wiring: AdderWiring) -> list[Gate]:
-        spec = AdderSpec(nb, carry_in=wiring.carry_in is not None, carry_out=wiring.carry_out is not None)
-        return cla_gates(spec, wiring, k=None if k is None else (k >> (j * nb)) & ((1 << nb) - 1))
+        return cla_gates(wiring, k=None if k is None else (k >> (j * nb)) & ((1 << nb) - 1))
 
     # Step j adds block j with carry-in from the previous step's slot.  Its ancilla
     # and carry-out come from the other blocks' freed wires that hold no parked carry.

@@ -22,7 +22,7 @@ from . import ir
 from . import resources
 from . import sim
 from .ir import Circuit
-from .qubit_adders import AdderSpec, AdderWiring, _canonical, build_cla_adder, build_plus_k, build_ripple_adder
+from .qubit_adders import AdderWiring, _canonical, build_cla_adder, build_plus_k, build_ripple_adder
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -91,12 +91,12 @@ def build_kind(args) -> tuple[Circuit, bb.BlockPlan | None]:
     _require(args.n is not None, f"--n is required for kind {kind}")
     _require(args.n >= 1, "--n must be >= 1")
     if kind in ADDER_KINDS:
-        spec = AdderSpec(args.n, carry_in=args.carry_in, carry_out=args.carry_out)
+        carries = args.carry_in, args.carry_out
         if kind == "cla-adder":
-            return build_cla_adder(spec).circuit, None
+            return build_cla_adder(args.n, *carries).circuit, None
         if kind == "ripple-adder":
-            return build_ripple_adder(spec).circuit, None
-        return build_plus_k(spec, _require_k(args)).circuit, None
+            return build_ripple_adder(args.n, *carries).circuit, None
+        return build_plus_k(args.n, _require_k(args), *carries).circuit, None
     plan = _block_plan(args)
     if kind == "block-adder":
         return bb.build_block_adder(plan, args.carry_in, args.carry_out), plan
@@ -115,8 +115,7 @@ def register_layout(args, plan: bb.BlockPlan | None) -> AdderWiring | None:
     if plan is not None:
         return plan.layout(args.carry_in, args.carry_out)
     if args.kind in ADDER_KINDS:
-        spec = AdderSpec(args.n, carry_in=args.carry_in, carry_out=args.carry_out)
-        return _canonical(spec, 0 if args.kind == "plus-k" else args.n, 0)
+        return _canonical(args.n, 0 if args.kind == "plus-k" else args.n, args.carry_in, args.carry_out, 0)
     return None
 
 
@@ -224,8 +223,8 @@ def cmd_simulate(args) -> int:
 
 
 def _sidecar_plan(plan_file: Path, circ: Circuit) -> bb.BlockPlan:
-    """The plan a sidecar describes, checked against the circuit it sits next to:
-    its registers·n register wires of capacity scheme.y, then at most two carries."""
+    """The plan a sidecar describes, checked to be the one ``build`` makes for its mode, scheme
+    and n, and to fit its circuit: registers·n wires of capacity scheme.y, then at most two carries."""
     p = json.loads(plan_file.read_text())
     _require(type(p) is dict, f"plan sidecar {plan_file} must be a JSON object")
     try:
@@ -234,6 +233,9 @@ def _sidecar_plan(plan_file: Path, circ: Circuit) -> bb.BlockPlan:
         raise UsageError(f"plan sidecar {plan_file} lacks {e}") from None
     except ValueError as e:
         raise UsageError(f"plan sidecar {plan_file}: {e}") from None
+    _require(bb.plan_blocks(plan.mode, plan.scheme, plan.n) == plan,
+             f"plan sidecar {plan_file}: c={plan.c} is not the block count planned for "
+             f"mode {plan.mode}, scheme {plan.scheme.label}, n={plan.n}")
     reg = plan.registers * plan.n
     _require(reg <= circ.width <= reg + 2 and circ.dims[:reg] == (plan.scheme.y,) * reg,
              f"plan sidecar {plan_file} needs {reg} register wires of dim {plan.scheme.y} then at most 2 carries; "
@@ -307,9 +309,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_PASS
-    if getattr(args, "samples", None) is not None and args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, low in (("samples", 1), ("seed", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            print(f"error: --{flag} must be >= {low}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except (UsageError, ir.CircuitError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:

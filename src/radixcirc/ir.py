@@ -215,23 +215,8 @@ def depth(c: Circuit) -> int:
 
 # --- JSON interchange ---------------------------------------------------
 
-def circuit_to_dict(c: Circuit) -> dict:
-    return {
-        "wires": [{"name": w.name, "dim": w.dim} for w in c.wires],
-        "gates": [
-            {
-                "kind": g.kind,
-                "targets": list(g.targets),
-                "params": list(g.params),
-                "controls": [{"wire": w, "value": v} for w, v in g.controls],
-            }
-            for g in c.gates
-        ],
-    }
-
-
 def circuit_from_dict(d: dict) -> Circuit:
-    """Inverse of ``circuit_to_dict``; every distinct gate is validated.
+    """The circuit a parsed ``dumps`` document describes; every distinct gate is validated.
 
     Repeats of a gate share one frozen ``Gate`` object, which is constructed
     and validated once: validation depends only on the gate and the wires.
@@ -279,7 +264,9 @@ def circuit_from_dict(d: dict) -> Circuit:
 
 
 def dumps(c: Circuit, indent: int | None = None) -> str:
-    """The interchange text: exactly ``json.dumps(circuit_to_dict(c), indent=indent)``.
+    """The interchange text: exactly what ``json.dumps(doc, indent=indent)`` writes for
+    the document ``{"wires": [{"name", "dim"}], "gates": [{"kind", "targets",
+    "params", "controls": [{"wire", "value"}]}]}``, fields in that order.
 
     Written directly rather than through ``json``, whose pure-Python encoder
     (forced by ``indent``) dominates the cost on large circuits.  Names are

@@ -20,6 +20,7 @@ capacity >= 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import ir
 from .ir import Circuit, Gate, Wire, ccx, cx, x
@@ -35,17 +36,6 @@ def ancilla_required(m: int) -> int:
 def ancilla_required_plus_k(m: int) -> int:
     """Worst-case ancilla of the constant adder: one less than the A+B bound."""
     return ancilla_required(m) - 1
-
-
-@dataclass(frozen=True)
-class AdderSpec:
-    n: int
-    carry_in: bool = False
-    carry_out: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("register size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -128,17 +118,17 @@ class AdderWiring:
         return (value(self.a) if self.a else None), value(self.b), cout
 
 
-def _check_wiring(spec: AdderSpec, w: AdderWiring, need_a: bool, min_ancilla: int) -> None:
-    if need_a and len(w.a) != spec.n:
-        raise ValueError(f"A register must have {spec.n} wires, got {len(w.a)}")
-    if len(w.b) != spec.n:
-        raise ValueError(f"B register must have {spec.n} wires, got {len(w.b)}")
-    if spec.carry_in and w.carry_in is None:
-        raise ValueError("spec requires a carry-in wire")
-    if spec.carry_out and w.carry_out is None:
-        raise ValueError("spec requires a carry-out wire")
-    if len(w.ancilla) < min_ancilla:
-        raise ValueError(f"insufficient ancilla: need {min_ancilla}, got {len(w.ancilla)}")
+def _check_wiring(w: AdderWiring, plus_k: bool = False, ancilla: Callable[[int], int] = lambda n: 0) -> int:
+    """n = len(B), after checking n >= 1, n A wires (none for +K) and ``ancilla(n)`` ancilla."""
+    n = len(w.b)
+    if n < 1:
+        raise ValueError("register size must be >= 1")
+    n_a = 0 if plus_k else n
+    if len(w.a) != n_a:
+        raise ValueError(f"A register must have {n_a} wires for {n} B wires, got {len(w.a)}")
+    if len(w.ancilla) < ancilla(n):
+        raise ValueError(f"insufficient ancilla: need {ancilla(n)}, got {len(w.ancilla)}")
+    return n
 
 
 # --- carry network -------------------------------------------------------
@@ -173,14 +163,14 @@ def _network_gates(m: int, p: dict[int, int], g: list[int | None], pool: list[in
     return p_rounds + g_rounds + c_rounds + [gate for gate in reversed(p_rounds)]
 
 
-def cla_gates(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gate]:
-    """Carry-lookahead gate list on layout ``w``; when ``k`` is given the A
-    register is the constant k and a-controlled gates are specialized away."""
-    n = spec.n
+def cla_gates(w: AdderWiring, k: int | None = None) -> list[Gate]:
+    """Carry-lookahead gate list on layout ``w``, using the carries it names; when
+    ``k`` is given the A register is the constant k and a-controlled gates are specialized away."""
     plus_k = k is not None
+    n = _check_wiring(w, plus_k, ancilla_required_plus_k if plus_k else ancilla_required)
     if plus_k and not 0 <= k < (1 << n):
         raise ValueError(f"constant {k} out of range for {n} bits")
-    _check_wiring(spec, w, need_a=not plus_k, min_ancilla=ancilla_required_plus_k(n) if plus_k else ancilla_required(n))
+    has_cin, has_cout = w.carry_in is not None, w.carry_out is not None
 
     def k_bit(i: int) -> int:
         return (k >> i) & 1  # type: ignore[operator]
@@ -197,9 +187,9 @@ def cla_gates(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gat
             return [x(w.b[i])] if k_bit(i) else []
         return [cx(w.a[i], w.b[i])]
 
-    m_fwd = n if spec.carry_out else n - 1
+    m_fwd = n if has_cout else n - 1
     z: list[int | None] = [None] + list(w.ancilla[: n - 1])
-    if spec.carry_out:
+    if has_cout:
         z.append(w.carry_out)
     pool = list(w.ancilla[n - 1 :])
 
@@ -209,14 +199,14 @@ def cla_gates(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gat
         gates += gen(i, z[i + 1])
     for i in range(n):
         gates += prop(i)
-    fold = [ccx(w.carry_in, w.b[0], z[1])] if (spec.carry_in and m_fwd >= 1) else []
+    fold = [ccx(w.carry_in, w.b[0], z[1])] if (has_cin and m_fwd >= 1) else []
     gates += fold
     # carry tree: z[i] becomes the carry into position i
     gates += _network_gates(m_fwd, {i: w.b[i] for i in range(1, m_fwd)}, z, pool)
     # sum layer
     for i in range(1, n):
         gates.append(cx(z[i], w.b[i]))
-    if spec.carry_in:
+    if has_cin:
         gates.append(cx(w.carry_in, w.b[0]))
 
     if n < 2:
@@ -229,7 +219,7 @@ def cla_gates(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gat
         gates += prop(i)
         gates.append(x(w.b[i]))
     m_und = n - 1
-    und_fold = [ccx(w.carry_in, w.b[0], z[1])] if spec.carry_in else []
+    und_fold = [ccx(w.carry_in, w.b[0], z[1])] if has_cin else []
     und_net = und_fold + _network_gates(m_und, {i: w.b[i] for i in range(1, m_und)}, z, pool)
     gates += [gate for gate in reversed(und_net)]  # all self-inverse
     for i in range(n - 1):
@@ -243,12 +233,12 @@ def cla_gates(spec: AdderSpec, w: AdderWiring, k: int | None = None) -> list[Gat
 
 # --- ripple fallback ------------------------------------------------------
 
-def ripple_gates(spec: AdderSpec, w: AdderWiring) -> list[Gate]:
-    """Ripple-carry gate list on layout ``w``; it needs no ancilla."""
-    _check_wiring(spec, w, need_a=True, min_ancilla=0)
-    n = spec.n
+def ripple_gates(w: AdderWiring) -> list[Gate]:
+    """Ripple-carry gate list on layout ``w``, with the carries ``w`` names; it needs no ancilla."""
+    n = _check_wiring(w)
+    has_cout = w.carry_out is not None
     gates: list[Gate] = []
-    if spec.carry_in:
+    if w.carry_in is not None:
         # majority/unmajority ripple chain seeded by the carry-in wire
         chain = [w.carry_in] + list(w.a)
 
@@ -260,7 +250,7 @@ def ripple_gates(spec: AdderSpec, w: AdderWiring) -> list[Gate]:
 
         for i in range(n):
             gates += maj(chain[i], w.b[i], w.a[i])
-        if spec.carry_out:
+        if has_cout:
             gates.append(cx(w.a[n - 1], w.carry_out))
         for i in range(n - 1, -1, -1):
             gates += uma(chain[i], w.b[i], w.a[i])
@@ -268,19 +258,19 @@ def ripple_gates(spec: AdderSpec, w: AdderWiring) -> list[Gate]:
 
     # No carry-in: carry ladder rippled through the A register itself.
     if n == 1:
-        if spec.carry_out:
+        if has_cout:
             gates.append(ccx(w.a[0], w.b[0], w.carry_out))
         gates.append(cx(w.a[0], w.b[0]))
         return gates
     for i in range(1, n):
         gates.append(cx(w.a[i], w.b[i]))
-    if spec.carry_out:
+    if has_cout:
         gates.append(cx(w.a[n - 1], w.carry_out))
     for i in range(n - 2, 0, -1):
         gates.append(cx(w.a[i], w.a[i + 1]))
     for i in range(n - 1):
         gates.append(ccx(w.a[i], w.b[i], w.a[i + 1]))
-    if spec.carry_out:
+    if has_cout:
         gates.append(ccx(w.a[n - 1], w.b[n - 1], w.carry_out))
     for i in range(n - 1, 0, -1):
         gates.append(cx(w.a[i], w.b[i]))
@@ -302,37 +292,34 @@ class BuiltAdder:
     wiring: AdderWiring
 
 
-def _canonical(spec: AdderSpec, n_a: int, n_ancilla: int) -> AdderWiring:
+def _canonical(n: int, n_a: int, carry_in: bool, carry_out: bool, n_ancilla: int) -> AdderWiring:
     """Standalone layout: a, b, then the carry-in and carry-out, then the ancilla."""
-    pos = n_a + spec.n
-    cin = pos if spec.carry_in else None
-    cout = pos + spec.carry_in if spec.carry_out else None
-    pos += spec.carry_in + spec.carry_out
+    pos = n_a + n
+    cin = pos if carry_in else None
+    cout = pos + carry_in if carry_out else None
+    pos += carry_in + carry_out
     return AdderWiring(
         a=tuple(range(n_a)),
-        b=tuple(range(n_a, n_a + spec.n)),
+        b=tuple(range(n_a, n_a + n)),
         carry_in=cin,
         carry_out=cout,
         ancilla=tuple(range(pos, pos + n_ancilla)),
     )
 
 
-def build_cla_adder(spec: AdderSpec) -> BuiltAdder:
+def build_cla_adder(n: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
     """Log-depth in-place adder: a, b, carries, then ``ancilla_required(n)`` ancilla."""
-    wiring = _canonical(spec, spec.n, ancilla_required(spec.n))
-    circuit = wiring.new_circuit()
-    return BuiltAdder(ir.extend(circuit, cla_gates(spec, wiring)), wiring)
+    wiring = _canonical(n, n, carry_in, carry_out, ancilla_required(n))
+    return BuiltAdder(ir.extend(wiring.new_circuit(), cla_gates(wiring)), wiring)
 
 
-def build_plus_k(spec: AdderSpec, k: int) -> BuiltAdder:
+def build_plus_k(n: int, k: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
     """In-place B += k: b, carries, then ``ancilla_required_plus_k(n)`` ancilla."""
-    wiring = _canonical(spec, 0, ancilla_required_plus_k(spec.n))
-    circuit = wiring.new_circuit()
-    return BuiltAdder(ir.extend(circuit, cla_gates(spec, wiring, k=k)), wiring)
+    wiring = _canonical(n, 0, carry_in, carry_out, ancilla_required_plus_k(n))
+    return BuiltAdder(ir.extend(wiring.new_circuit(), cla_gates(wiring, k=k)), wiring)
 
 
-def build_ripple_adder(spec: AdderSpec) -> BuiltAdder:
+def build_ripple_adder(n: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
     """Linear-depth in-place adder with zero ancilla: a, b, carries."""
-    wiring = _canonical(spec, spec.n, 0)
-    circuit = wiring.new_circuit()
-    return BuiltAdder(ir.extend(circuit, ripple_gates(spec, wiring)), wiring)
+    wiring = _canonical(n, n, carry_in, carry_out, 0)
+    return BuiltAdder(ir.extend(wiring.new_circuit(), ripple_gates(wiring)), wiring)

@@ -1,4 +1,5 @@
-"""Independent test oracle: a dense statevector simulator and basis-state sweeps.
+"""Independent test oracle: a dense statevector simulator, basis-state sweeps,
+and the reference document ``ir.dumps`` must write (``circuit_to_dict``).
 
 The statevector engine defines the gate semantics itself (``_digit_map``),
 so comparing it with ``sim.run`` and ``sim.run_batch`` compares two
@@ -31,6 +32,21 @@ def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Itera
 def interface_states(c: Circuit) -> Iterator[BasisState]:
     """All inputs allowed by the circuit's declared interface bounds."""
     return all_basis_states(c, c.input_bounds)
+
+
+def circuit_to_dict(c: Circuit) -> dict:
+    return {
+        "wires": [{"name": w.name, "dim": w.dim} for w in c.wires],
+        "gates": [
+            {
+                "kind": g.kind,
+                "targets": list(g.targets),
+                "params": list(g.params),
+                "controls": [{"wire": w, "value": v} for w, v in g.controls],
+            }
+            for g in c.gates
+        ],
+    }
 
 
 def forward_then_inverse(c: Circuit) -> Circuit:

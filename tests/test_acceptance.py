@@ -15,7 +15,6 @@ from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
 from radixcirc import ir, resources, sim
 from radixcirc.qubit_adders import (
-    AdderSpec,
     ancilla_required,
     build_cla_adder,
     build_plus_k,
@@ -105,10 +104,9 @@ def test_criterion_4_sub_adders(capsys):
         t0 = time.perf_counter()
         for n in range(1, 6):
             for ci, co in CARRY_VARIANTS:
-                spec = AdderSpec(n, ci, co)
                 for built, k in (
-                    [(build_cla_adder(spec), None), (build_ripple_adder(spec), None)]
-                    + [(build_plus_k(spec, kk), kk) for kk in range(1 << n)]
+                    [(build_cla_adder(n, ci, co), None), (build_ripple_adder(n, ci, co), None)]
+                    + [(build_plus_k(n, kk, ci, co), kk) for kk in range(1 << n)]
                 ):
                     c, w = built.circuit, built.wiring
                     rows, vals = [], []
@@ -233,7 +231,7 @@ def test_criterion_8_depth_scaling(capsys):
         assert depths[-1] / depths[0] < 2.5
 
         def cla_depth(n):
-            return ir.depth(build_cla_adder(AdderSpec(n, False, False)).circuit)
+            return ir.depth(build_cla_adder(n, False, False).circuit)
 
         d16, d32, d64 = cla_depth(16), cla_depth(32), cla_depth(64)
         lo, hi = sorted((d32 - d16, d64 - d32))
@@ -248,9 +246,9 @@ def test_criterion_9_inversion(capsys):
         circuits = [
             cmp.build_compress_231(),
             cmp.build_compress_241(),
-            build_cla_adder(AdderSpec(1, True, True)).circuit,
-            build_plus_k(AdderSpec(1, True, True), 1).circuit,
-            build_ripple_adder(AdderSpec(1, True, True)).circuit,
+            build_cla_adder(1, True, True).circuit,
+            build_plus_k(1, 1, True, True).circuit,
+            build_ripple_adder(1, True, True).circuit,
             bb.build_block_adder(bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_241, 12)),
             bb.build_block_plus_k(bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 60), 7),
         ]

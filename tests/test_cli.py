@@ -183,7 +183,7 @@ def test_verify_corrupted_block_adder_exits_1(tmp_path, capsys):
     assert "FAIL block-adder" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("mode", "a-b")])
+@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("c", 6), ("mode", "a-b")])
 def test_stats_malformed_plan_sidecar_exits_2(tmp_path, field, value):
     out = tmp_path / "blk.json"
     run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
@@ -242,6 +242,7 @@ def test_stats_sidecar_lacking_a_field_exits_2(tmp_path, capsys):
     pytest.param(["verify", "--kind", "plus-k", "--n", "4", "--k", "16", "--exhaustive"], id="plus-k-too-wide"),
     pytest.param(["build", "--kind", "block-plus-k", "--n", "60", "--scheme", "241", "--k", "-1"], id="block-plus-k-negative"),
     pytest.param(["build", "--kind", "block-adder", "--n", "30", "--scheme", "259"], id="unknown-scheme"),
+    pytest.param(["verify", "--kind", "compress231", "--samples", "5", "--seed", "-3"], id="negative-seed"),
 ])
 def test_out_of_range_flags_exit_2(argv, capsys):
     assert run_cli(*argv) == 2

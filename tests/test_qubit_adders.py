@@ -1,11 +1,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from radixcirc import ir, sim
 from radixcirc.qubit_adders import (
-    AdderSpec,
     AdderWiring,
     ancilla_required,
     ancilla_required_plus_k,
@@ -34,8 +34,10 @@ def test_ancilla_formula_against_oracle():
 
 
 def test_spec_and_wiring_validation():
-    with pytest.raises(ValueError):
-        AdderSpec(0, False, False)
+    # an empty B register is a 0-bit adder
+    for emit in (cla_gates, ripple_gates):
+        with pytest.raises(ValueError, match="register size"):
+            emit(AdderWiring((), ()))
     with pytest.raises(ValueError):
         # a and b overlap
         AdderWiring((0, 1), (1, 2), None, None, (3, 4))
@@ -43,29 +45,40 @@ def test_spec_and_wiring_validation():
 
 # Each emitter checks the layout it is given, so the block builder's layouts are checked too.
 BAD_LAYOUTS = [
-    pytest.param(AdderSpec(2), AdderWiring((0, 1), (2, 3), ancilla=(4,)), None, "insufficient ancilla", id="ancilla"),
-    pytest.param(AdderSpec(2), AdderWiring((0,), (2, 3), ancilla=(4, 5)), None, "A register", id="short-a"),
-    pytest.param(AdderSpec(2), AdderWiring((0, 1), (2,), ancilla=(4, 5)), None, "B register", id="short-b"),
-    pytest.param(AdderSpec(2, carry_in=True), AdderWiring((0, 1), (2, 3), ancilla=(4, 5)), None, "carry-in",
-                 id="no-cin"),
-    pytest.param(AdderSpec(2, carry_out=True), AdderWiring((0, 1), (2, 3), ancilla=(4, 5)), None, "carry-out",
-                 id="no-cout"),
-    pytest.param(AdderSpec(2), AdderWiring((), (0, 1), ancilla=(2,)), 4, "out of range", id="k-too-big"),
-    pytest.param(AdderSpec(2), AdderWiring((), (0, 1), ancilla=(2,)), -1, "out of range", id="k-negative"),
+    pytest.param(AdderWiring((0, 1), (2, 3), ancilla=(4,)), None, "insufficient ancilla", id="ancilla"),
+    pytest.param(AdderWiring((0,), (2, 3), ancilla=(4, 5)), None, "A register", id="short-a"),
+    pytest.param(AdderWiring((0, 1), (2,), ancilla=(4, 5)), None, "A register", id="short-b"),
+    pytest.param(AdderWiring((0, 1), (2, 3), ancilla=(4, 5)), 1, "A register", id="plus-k-with-a"),
+    pytest.param(AdderWiring((), (0, 1), ancilla=(2,)), 4, "out of range", id="k-too-big"),
+    pytest.param(AdderWiring((), (0, 1), ancilla=(2,)), -1, "out of range", id="k-negative"),
 ]
 
 
-@pytest.mark.parametrize("spec,wiring,k,message", BAD_LAYOUTS)
-def test_cla_gates_rejects_bad_layout(spec, wiring, k, message):
+@pytest.mark.parametrize("wiring,k,message", BAD_LAYOUTS)
+def test_cla_gates_rejects_bad_layout(wiring, k, message):
     with pytest.raises(ValueError, match=message):
-        cla_gates(spec, wiring, k=k)
+        cla_gates(wiring, k=k)
 
 
 def test_ripple_gates_rejects_bad_layout():
-    with pytest.raises(ValueError, match="B register"):
-        ripple_gates(AdderSpec(2), AdderWiring((0, 1), (2,)))
-    with pytest.raises(ValueError, match="carry-out"):
-        ripple_gates(AdderSpec(2, carry_out=True), AdderWiring((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="A register"):
+        ripple_gates(AdderWiring((0, 1), (2,)))
+
+
+def test_emitters_honour_every_carry_wire_of_the_wiring():
+    # n=3 with a carry-in and a carry-out; A, B and the carries sit off the canonical order
+    w = AdderWiring(a=(6, 1, 4), b=(0, 5, 2), carry_in=3, carry_out=7, ancilla=(8, 9, 10))
+    ins = np.zeros((1 << 7, w.width), dtype=np.int64)
+    ins[:, w.inputs] = list(itertools.product((0, 1), repeat=7))
+    exp = ins.copy()
+    for row in exp:
+        a, b, _ = w.decode(row)
+        total = a + b + int(row[w.carry_in])
+        row[list(w.b)] = [(total >> i) & 1 for i in range(3)]
+        row[w.carry_out] = total >> 3
+    for gates in (cla_gates(w), ripple_gates(w)):
+        out, _ = sim.run_batch(ir.extend(w.new_circuit(), gates), ins)
+        assert (out == exp).all()
 
 
 def run_adder(built, a, b, cin):
@@ -89,7 +102,7 @@ def run_adder(built, a, b, cin):
 @pytest.mark.parametrize("ci,co", VARIANTS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cla_adder_exhaustive(n, ci, co):
-    built = build_cla_adder(AdderSpec(n, ci, co))
+    built = build_cla_adder(n, ci, co)
     for a, b in itertools.product(range(1 << n), repeat=2):
         for cin in range(1 + ci):
             tot = a + b + cin
@@ -106,7 +119,7 @@ def test_cla_adder_exhaustive(n, ci, co):
 @pytest.mark.parametrize("ci,co", VARIANTS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ripple_adder_exhaustive(n, ci, co):
-    built = build_ripple_adder(AdderSpec(n, ci, co))
+    built = build_ripple_adder(n, ci, co)
     assert not built.wiring.ancilla
     for a, b in itertools.product(range(1 << n), repeat=2):
         for cin in range(1 + ci):
@@ -121,7 +134,7 @@ def test_ripple_adder_exhaustive(n, ci, co):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_plus_k_exhaustive(n, ci, co):
     for k in range(1 << n):
-        built = build_plus_k(AdderSpec(n, ci, co), k)
+        built = build_plus_k(n, k, ci, co)
         for b in range(1 << n):
             for cin in range(1 + ci):
                 tot = b + k + cin
@@ -134,14 +147,14 @@ def test_plus_k_exhaustive(n, ci, co):
 
 def test_plus_k_constant_range():
     with pytest.raises(ValueError):
-        build_plus_k(AdderSpec(3, False, False), 8)
+        build_plus_k(3, 8)
     with pytest.raises(ValueError):
-        build_plus_k(AdderSpec(3, False, False), -1)
+        build_plus_k(3, -1)
 
 
 def test_cla_depth_grows_logarithmically():
     def d(n):
-        return ir.depth(build_cla_adder(AdderSpec(n, False, False)).circuit)
+        return ir.depth(build_cla_adder(n, False, False).circuit)
 
     d16, d32, d64 = d(16), d(32), d(64)
     lo, hi = d32 - d16, d64 - d32
@@ -151,7 +164,7 @@ def test_cla_depth_grows_logarithmically():
 
 def test_ripple_depth_grows_linearly():
     def d(n):
-        return ir.depth(build_ripple_adder(AdderSpec(n, True, True)).circuit)
+        return ir.depth(build_ripple_adder(n, True, True).circuit)
 
     assert d(32) > 2.5 * d(16) / 2  # at least roughly linear growth
     assert d(64) - d(32) > (d(32) - d(16)) * 1.5
@@ -159,9 +172,9 @@ def test_ripple_depth_grows_linearly():
 
 def test_adders_use_declared_ancilla_budget():
     for n in (3, 5, 8):
-        built = build_cla_adder(AdderSpec(n, True, True))
+        built = build_cla_adder(n, True, True)
         assert len(built.wiring.ancilla) == ancilla_required(n)
-        built = build_plus_k(AdderSpec(n, True, True), 1)
+        built = build_plus_k(n, 1, True, True)
         assert len(built.wiring.ancilla) == ancilla_required_plus_k(n)
 
 
@@ -173,5 +186,5 @@ DEPTH_SIZES = sorted(set(range(1, 65)) | {2**k + d for k in range(6, 10) for d i
 @pytest.mark.parametrize("carry_in,carry_out", VARIANTS)
 def test_cla_depth_within_readme_bound(carry_in, carry_out):
     for n in DEPTH_SIZES:
-        d = ir.depth(build_cla_adder(AdderSpec(n, carry_in, carry_out)).circuit)
+        d = ir.depth(build_cla_adder(n, carry_in, carry_out).circuit)
         assert d <= 4 * math.log2(n) + 10, (n, d)

@@ -7,7 +7,7 @@ from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
 from radixcirc import ir, sim
 from radixcirc.ir import Wire
-from radixcirc.qubit_adders import AdderSpec, build_cla_adder
+from radixcirc.qubit_adders import build_cla_adder
 
 import oracle
 
@@ -174,7 +174,7 @@ def test_scalar_run_matches_batch_and_big_int_on_flagship_adders(scheme, carry_i
 @pytest.mark.parametrize("circ", [
     pytest.param(cmp.build_compress_231(), id="compress231"),
     pytest.param(cmp.build_compress_241(), id="compress241"),
-    pytest.param(build_cla_adder(AdderSpec(2, True, True)).circuit, id="cla-2"),
+    pytest.param(build_cla_adder(2, True, True).circuit, id="cla-2"),
 ])
 def test_scalar_run_matches_batch_and_statevector(circ):
     states = list(oracle.interface_states(circ))
