@@ -1,6 +1,6 @@
 """Mixed-radix reversible circuits: compression, log-depth adders, block adders."""
 
-from . import block_builder, cli, compress, ir, qubit_adders, resources, sim
+from . import block_builder, compress, ir, qubit_adders, resources, sim
 
 __all__ = [
     "block_builder",

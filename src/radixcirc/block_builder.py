@@ -49,7 +49,7 @@ class BlockPlan:
 
     def __post_init__(self):
         # Plans are also read back from sidecar JSON, so check the field types.
-        if self.mode not in _REGISTERS:
+        if type(self.mode) is not str or self.mode not in _REGISTERS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if type(self.n) is not int or type(self.c) is not int or not 1 <= self.c <= self.n or self.n % self.c:
             raise ValueError(f"plan needs ints 1 <= c <= n with c dividing n, got n={self.n!r}, c={self.c!r}")

@@ -233,13 +233,14 @@ def _sidecar_plan(plan_file: Path, circ: Circuit) -> bb.BlockPlan:
         raise UsageError(f"plan sidecar {plan_file} lacks {e}") from None
     except ValueError as e:
         raise UsageError(f"plan sidecar {plan_file}: {e}") from None
-    _require(bb.plan_blocks(plan.mode, plan.scheme, plan.n) == plan,
-             f"plan sidecar {plan_file}: c={plan.c} is not the block count planned for "
-             f"mode {plan.mode}, scheme {plan.scheme.label}, n={plan.n}")
+    # The fit check first: it needs only the plan's fields, while planning scans O(sqrt n) divisors.
     reg = plan.registers * plan.n
     _require(reg <= circ.width <= reg + 2 and circ.dims[:reg] == (plan.scheme.y,) * reg,
              f"plan sidecar {plan_file} needs {reg} register wires of dim {plan.scheme.y} then at most 2 carries; "
              f"the {circ.width}-wire circuit differs")
+    _require(bb.plan_blocks(plan.mode, plan.scheme, plan.n) == plan,
+             f"plan sidecar {plan_file}: c={plan.c} is not the block count planned for "
+             f"mode {plan.mode}, scheme {plan.scheme.label}, n={plan.n}")
     return plan
 
 
@@ -247,7 +248,7 @@ def cmd_stats(args) -> int:
     circ = ir.loads(Path(args.circuit).read_text())
     ancilla = None
     plan_file = Path(args.plan) if args.plan else _plan_path(Path(args.circuit))
-    if plan_file.exists():
+    if args.plan or plan_file.exists():
         ancilla = _sidecar_plan(plan_file, circ).ancilla_per_step
     r = resources.report(circ, ancilla_generated=ancilla)
     if args.expand_cost_model:

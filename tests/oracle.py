@@ -1,5 +1,7 @@
-"""Independent test oracle: a dense statevector simulator, basis-state sweeps,
-and the reference document ``ir.dumps`` must write (``circuit_to_dict``).
+"""Independent test oracle: the adder contract as big-integer arithmetic
+(``adder_inputs``, ``adder_outputs``), a dense statevector simulator,
+basis-state sweeps, and the reference document ``ir.dumps`` must write
+(``circuit_to_dict``).
 
 The statevector engine defines the gate semantics itself (``_digit_map``),
 so comparing it with ``sim.run`` and ``sim.run_batch`` compares two
@@ -16,9 +18,49 @@ import numpy as np
 
 from radixcirc import ir
 from radixcirc.ir import FLIP, SWAP, Circuit, Gate
+from radixcirc.qubit_adders import AdderWiring
 from radixcirc.sim import BasisState
 
 STATEVECTOR_CAP = 1 << 20
+
+
+def adder_inputs(layout: AdderWiring, width: int, rng: np.random.Generator | None = None,
+                 samples: int = 0) -> np.ndarray:
+    """Binary rows on ``layout.inputs`` (A, B, carry-in), 0 on every other wire.
+
+    Without ``rng``, every combination; with it, the all-zeros row, the
+    all-ones row and ``samples`` random rows.
+    """
+    cols = layout.inputs
+    if rng is None:
+        bits = np.array(list(itertools.product((0, 1), repeat=len(cols))), dtype=np.int64)
+    else:
+        bits = np.vstack([np.zeros(len(cols)), np.ones(len(cols)), rng.integers(0, 2, size=(samples, len(cols)))])
+    ins = np.zeros((len(bits), width), dtype=np.int64)
+    ins[:, cols] = bits
+    return ins
+
+
+def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) -> np.ndarray:
+    """The in-place adder contract on whole rows, in big integers: B becomes
+    (A, or ``k`` when the layout has no A) + B + c_in mod 2^n, the carry-out
+    wire gets the overflow bit, and every other column keeps its input value."""
+
+    def value(cols: tuple[int, ...]) -> np.ndarray:
+        out = np.zeros(len(ins), dtype=object)
+        for i, col in enumerate(cols):
+            out += ins[:, col].astype(object) << i
+        return out
+
+    addend = value(layout.a) if layout.a else int(k)
+    cin = ins[:, layout.carry_in].astype(object) if layout.carry_in is not None else 0
+    total = addend + value(layout.b) + cin
+    exp = ins.copy()
+    for i, col in enumerate(layout.b):
+        exp[:, col] = (total >> i) & 1
+    if layout.carry_out is not None:
+        exp[:, layout.carry_out] = total >> len(layout.b)
+    return exp
 
 
 def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Iterator[BasisState]:

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,36 +92,15 @@ def test_feasibility_checks_agree_at_thresholds():
         assert bb.exact_accounting(bb.BlockPlan(mode, scheme, n, c))
 
 
-def oracle_check(plan, circ, rng, cases, carry_in, carry_out, k=None):
-    n = plan.n
-    states, vals = [], []
-    for _ in range(cases):
-        b = int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n)
-        a = None
-        if plan.mode == bb.MODE_AB:
-            a = int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n)
-        cin = int(rng.integers(0, 2)) if carry_in else 0
-        vals.append((a, b, cin))
-        states.append(bb.encode_input(plan, b, a, cin, carry_in, carry_out))
-    out, _ = sim.run_batch(circ, np.array(states))
-    for row, (a, b, cin) in zip(out, vals):
-        a_out, s_out, cout = bb.decode_output(plan, row, carry_in, carry_out)
-        addend = a if plan.mode == bb.MODE_AB else k
-        tot = addend + b + cin
-        assert s_out == tot % (1 << n)
-        if plan.mode == bb.MODE_AB:
-            assert a_out == a
-        if carry_out:
-            assert cout == tot >> n
-    assert (out <= 1).all()  # every wire back to binary
-
-
 @pytest.mark.parametrize("carry_in,carry_out", [(False, False), (True, False), (False, True), (True, True)])
 def test_block_adder_241_n12(carry_in, carry_out):
     plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_241, 12)
     circ = bb.build_block_adder(plan, carry_in, carry_out)
     assert circ.width == 24 + carry_in + carry_out
-    oracle_check(plan, circ, np.random.default_rng(5), 100, carry_in, carry_out)
+    layout = plan.layout(carry_in, carry_out)
+    ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(5), 100)
+    out, _ = sim.run_batch(circ, ins)
+    assert (out == oracle.adder_outputs(layout, ins)).all()
 
 
 @pytest.mark.parametrize("carry_in,carry_out", [(False, False), (True, True)])
@@ -129,7 +109,10 @@ def test_block_plus_k_241_n60(carry_in, carry_out):
     k = 0x9E3779B97F4A7C1 % (1 << 60)
     circ = bb.build_block_plus_k(plan, k, carry_in, carry_out)
     assert circ.width == 60 + carry_in + carry_out
-    oracle_check(plan, circ, np.random.default_rng(6), 60, carry_in, carry_out, k=k)
+    layout = plan.layout(carry_in, carry_out)
+    ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(6), 60)
+    out, _ = sim.run_batch(circ, ins)
+    assert (out == oracle.adder_outputs(layout, ins, k)).all()
 
 
 def test_block_adder_edge_values():
@@ -141,6 +124,15 @@ def test_block_adder_edge_values():
         a_out, s_out, cout = bb.decode_output(plan, out[0], True, True)
         tot = a + b + cin
         assert (a_out, s_out, cout) == (a, tot % (1 << n), tot >> n)
+
+
+def test_readme_quick_tour():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(tour, scope)  # runs the tour's own decode assertion
+    assert scope["plan"].c == 5
+    assert scope["circ"].dims == (3,) * 60 + (2,)  # the register, then the carry-out qubit
 
 
 def test_mode_mismatch_rejected():
@@ -250,29 +242,14 @@ def _plan_space_property(plan, carries, seed):
     lhs, rhs = bb.worst_case_sides(plan.mode, plan.scheme, n, plan.c)
     assert lhs >= rhs
 
-    def value():
-        return int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n)
-
     ab = plan.mode == bb.MODE_AB
-    k = None if ab else value()
+    k = None if ab else int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n)
     circ = bb.build_block_adder(plan, carry_in, carry_out) if ab else bb.build_block_plus_k(plan, k, carry_in, carry_out)
-    ones = (1 << n) - 1
-    rows = [(value(), value(), int(rng.integers(0, 2)) if carry_in else 0) for _ in range(8)]
-    rows.append((ones, ones, int(carry_in)))
-    ins = np.array([bb.encode_input(plan, b, a if ab else None, cin, carry_in, carry_out) for a, b, cin in rows])
+    layout = plan.layout(carry_in, carry_out)
+    ins = oracle.adder_inputs(layout, circ.width, rng, 8)
     out, max_digit = sim.run_batch(circ, ins, track_max=True)
     assert max_digit <= plan.scheme.y - 1
-    assert (out <= 1).all()
-    layout = plan.layout(carry_in, carry_out)
-    changed = {*layout.b, layout.carry_out}
-    kept = [w for w in range(circ.width) if w not in changed]
-    assert (out[:, kept] == ins[:, kept]).all()  # A, the carry-in and every ancilla
-    for row, (a, b, cin) in zip(out, rows):
-        total = (a if ab else k) + b + cin
-        a_out, s_out, cout = bb.decode_output(plan, row, carry_in, carry_out)
-        assert s_out == total % (1 << n)
-        assert a_out == (a if ab else None)
-        assert cout == (total >> n if carry_out else None)
+    assert (out == oracle.adder_outputs(layout, ins, k)).all()
 
     digits = rng.integers(0, np.array(circ.dims), size=(8, circ.width))
     back, _ = sim.run_batch(oracle.forward_then_inverse(circ), digits)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radixcirc import block_builder as bb
 from radixcirc import cli, ir
+
+import oracle
 
 
 def run_cli(*argv):
@@ -19,11 +25,16 @@ def test_build_compress241_to_file(tmp_path, capsys):
     assert "width=2" in capsys.readouterr().out
 
 
-def test_build_stdout_and_determinism(tmp_path):
+def test_build_stdout_and_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("build", "--kind", "cla-adder", "--n", "4", "--carry-out", "--out", str(a))
     run_cli("build", "--kind", "cla-adder", "--n", "4", "--carry-out", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    # without --out the circuit goes to stdout and the summary to stderr
+    assert run_cli("build", "--kind", "cla-adder", "--n", "4", "--carry-out") == 0
+    out, err = capsys.readouterr()
+    assert out == a.read_text() and err.startswith("kind=cla-adder width=")
 
 
 def test_build_block_writes_plan_sidecar(tmp_path):
@@ -183,7 +194,8 @@ def test_verify_corrupted_block_adder_exits_1(tmp_path, capsys):
     assert "FAIL block-adder" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("c", 6), ("mode", "a-b")])
+@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("c", 6), ("mode", "a-b"),
+                                         ("mode", ["a+b"])])
 def test_stats_malformed_plan_sidecar_exits_2(tmp_path, field, value):
     out = tmp_path / "blk.json"
     run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
@@ -224,6 +236,20 @@ def test_stats_rejects_sidecar_of_other_circuit(tmp_path, capsys):
     assert "60 register wires of dim 3" in capsys.readouterr().err
     assert run_cli("stats", str(big), "--plan", str(tmp_path / "small.plan.json")) == 2
     assert run_cli("stats", str(small), "--plan", str(tmp_path / "small.plan.json")) == 0
+    # an explicit --plan must exist; only the default <circuit>.plan.json is optional
+    assert run_cli("stats", str(small), "--plan", str(tmp_path / "nope.json")) == 2
+
+
+def test_stats_checks_sidecar_fits_circuit_before_planning(tmp_path, monkeypatch, capsys):
+    # c=4 divides n=10^16, so the plan is valid; planning it would scan 10^8 divisor candidates.
+    out = tmp_path / "blk.json"
+    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
+    sidecar = tmp_path / "blk.plan.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n": 10**16}))
+    calls = []
+    monkeypatch.setattr(bb, "plan_blocks", lambda *args: calls.append(args))
+    assert run_cli("stats", str(out)) == 2
+    assert calls == [] and "register wires" in capsys.readouterr().err
 
 
 def test_stats_sidecar_lacking_a_field_exits_2(tmp_path, capsys):
@@ -263,6 +289,15 @@ def test_stats_non_utf8_file_exits_2(tmp_path):
     assert run_cli("stats", str(bad)) == 2
 
 
+def test_module_entry_point_runs_cli_once():
+    # `python -m radixcirc.cli` must not find the module already imported by the package.
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "radixcirc.cli", "verify",
+                           "--kind", "compress231", "--exhaustive"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0 and "PASS compress231" in proc.stdout, proc.stderr
+
+
 def test_internal_errors_escape_main(monkeypatch):
     def broken(*args):
         raise ValueError("internal bug")
@@ -272,28 +307,7 @@ def test_internal_errors_escape_main(monkeypatch):
         run_cli("build", "--kind", "block-adder", "--n", "30", "--scheme", "231")
 
 
-# --- the adder oracle against big integers ----------------------------------
-
-def big_int_expected(args, layout, ins):
-    """The adder oracle as big-integer arithmetic: the reference for the ripple-carry."""
-
-    def value(cols):
-        out = np.zeros(ins.shape[0], dtype=object)
-        for i, col in enumerate(cols):
-            out += ins[:, col].astype(object) << i
-        return out
-
-    n = len(layout.b)
-    addend = value(layout.a) if layout.a else int(args.k)
-    cin = ins[:, layout.carry_in] if layout.carry_in is not None else 0
-    total = addend + value(layout.b) + cin
-    exp = ins.copy()
-    for i, col in enumerate(layout.b):
-        exp[:, col] = [(int(t) >> i) & 1 for t in total]
-    if layout.carry_out is not None:
-        exp[:, layout.carry_out] = [int(t) >> n for t in total]
-    return exp
-
+# --- the ripple-carry oracle against the big-integer one ----------------------
 
 ADDER_CASES = [
     ("cla-adder", 5, "231"),
@@ -317,8 +331,5 @@ def test_expected_outputs_matches_big_int(kind, n, scheme, carry_in, carry_out):
         args = cli.make_parser().parse_args(argv)
         _, plan = cli.build_kind(args)
         layout = cli.register_layout(args, plan)
-        ins = np.zeros((202, layout.width), dtype=np.int64)
-        ins[1, layout.inputs] = 1  # all ones, carry-in 1 when present
-        ins[2:, layout.inputs] = rng.integers(0, 2, size=(200, len(layout.inputs)))
-        exp = cli.expected_outputs(kind, args, layout, ins)
-        assert (exp == big_int_expected(args, layout, ins)).all()
+        ins = oracle.adder_inputs(layout, layout.width, rng, 200)
+        assert (cli.expected_outputs(kind, args, layout, ins) == oracle.adder_outputs(layout, ins, k)).all()

@@ -39,6 +39,8 @@ def test_scheme_constants_and_lookup():
         cmp.scheme_by_name("259")
     with pytest.raises(ValueError):
         cmp.CompressionScheme(x=2, y=3, z=2, m=4, n_out=2)
+    with pytest.raises(ValueError, match="z must equal m - n_out"):
+        cmp.CompressionScheme(x=2, y=3, z=2, m=3, n_out=2)
 
 
 def test_compress_231_truth_table():

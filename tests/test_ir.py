@@ -71,6 +71,8 @@ def test_input_bounds_default_and_validation():
     assert c2.input_bounds == (2, 2, 2)
     with pytest.raises(CircuitError):
         ir.new_circuit(three_wires(), input_bounds=(2, 4, 2))
+    with pytest.raises(CircuitError, match="length must match"):
+        ir.new_circuit(three_wires(), input_bounds=(2, 2))
 
 
 def test_inverse_reverses_and_negates_increments():

@@ -151,24 +151,14 @@ def test_property_batch_and_statevector_agree(cs):
 @pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
 @pytest.mark.parametrize("carry_in,carry_out", [(False, False), (False, True), (True, False), (True, True)])
 def test_scalar_run_matches_batch_and_big_int_on_flagship_adders(scheme, carry_in, carry_out):
-    n = 30
-    plan = bb.plan_blocks(bb.MODE_AB, scheme, n)
+    plan = bb.plan_blocks(bb.MODE_AB, scheme, 30)
     circ = bb.build_block_adder(plan, carry_in, carry_out)
-    rng = np.random.default_rng(3)
-    rows = []
-    for _ in range(12):
-        a, b = (int(v) for v in rng.integers(0, 1 << n, size=2))
-        cin = int(rng.integers(0, 2)) if carry_in else None
-        rows.append(bb.encode_input(plan, b, a, cin, carry_in, carry_out))
-    batch, _ = sim.run_batch(circ, np.array(rows))
-    for digits, batch_row in zip(rows, batch):
-        out = sim.run(circ, sim.basis_state(circ, digits))
-        assert out.digits == tuple(int(d) for d in batch_row)
-        a_in, b_in, _ = bb.decode_output(plan, digits, carry_in)
-        a_out, total, cout = bb.decode_output(plan, out.digits, carry_in, carry_out)
-        cin = digits[plan.registers * n] if carry_in else 0
-        assert a_out == a_in
-        assert total + ((cout or 0) << n) == (a_in + b_in + cin) % (1 << (n + carry_out))
+    layout = plan.layout(carry_in, carry_out)
+    ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(3), 12)
+    batch, _ = sim.run_batch(circ, ins)
+    for digits, batch_row in zip(ins.tolist(), batch.tolist()):
+        assert sim.run(circ, sim.basis_state(circ, digits)).digits == tuple(batch_row)
+    assert (batch == oracle.adder_outputs(layout, ins)).all()
 
 
 @pytest.mark.parametrize("circ", [
