@@ -48,7 +48,7 @@ class BlockPlan:
     _layouts: dict[tuple[bool, bool], AdderWiring] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Plans are also read back from sidecar JSON, so check the field types.
+        # Callers construct plans directly, and a plan whose c does not divide n miscompiles.
         if type(self.mode) is not str or self.mode not in _REGISTERS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if type(self.n) is not int or type(self.c) is not int or not 1 <= self.c <= self.n or self.n % self.c:
@@ -109,16 +109,6 @@ class BlockPlan:
             return ancilla_required(self.block_bits)
         return ancilla_required_plus_k(self.block_bits)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "scheme": self.scheme.label,
-            "n": self.n,
-            "c": self.c,
-            "blocks": self.blocks,
-            "carry_slots": self.carry_slots,
-        }
-
 
 def worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> tuple[int, int]:
     """Both sides of the closed-form bound, which assumes worst-case ancilla demand 2n/c."""
@@ -171,6 +161,30 @@ def infeasible_reason(mode: str, scheme: cmp.CompressionScheme, n: int) -> str:
     return (f"infeasible (mode {mode}, scheme {scheme.label}, n={n}): no block count c >= 2 dividing n "
             f"passes both the worst-case bound floor((c-1)*{_REGISTERS[mode]}n/({scheme.m}c)) >= 2n/c + c - 1 "
             f"and the exact per-step accounting; " + ("; ".join(fails) or "n has no such c"))
+
+
+def plan_of(circ: Circuit) -> BlockPlan | None:
+    """The plan ``plan_blocks`` makes for the block adder whose wires are exactly
+    ``circ.wires``; None for any other circuit.
+
+    The candidate is read off the wires: wire 0 is ``a1`` only in an A+B adder, the
+    carries are named ``cin`` and ``cout``, the rest is the register, and its dim is
+    the scheme's y.
+    """
+    names = [w.name for w in circ.wires]
+    if not names:
+        return None
+    mode = MODE_AB if names[0] == "a1" else MODE_PLUS_K
+    carry_in, carry_out = "cin" in names, "cout" in names
+    n, rest = divmod(circ.width - carry_in - carry_out, _REGISTERS[mode])
+    if rest or n < 1:
+        return None
+    for scheme in cmp.REGISTRY:
+        if scheme.y == circ.wires[0].dim:
+            plan = plan_blocks(mode, scheme, n)
+            if plan is not None and plan.layout(carry_in, carry_out).new_circuit(scheme.y).wires == circ.wires:
+                return plan
+    return None
 
 
 # --- construction ----------------------------------------------------------

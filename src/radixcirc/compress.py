@@ -52,7 +52,7 @@ SCHEME_241 = CompressionScheme(x=2, y=4, z=1, m=2, n_out=1)
 
 def scheme_by_name(name: str) -> CompressionScheme:
     """A built scheme by its label, with or without dashes ("2-3-1" or "231")."""
-    for scheme in _REGISTRY:
+    for scheme in REGISTRY:
         if name in (scheme.label, scheme.label.replace("-", "")):
             return scheme
     raise ValueError(f"unknown scheme {name!r}; supported: 231, 241")
@@ -93,13 +93,13 @@ def build_compress_241() -> Circuit:
 
 
 # The one scheme registry: each built scheme's group gate emitter.
-_REGISTRY = {SCHEME_231: gates_compress_231, SCHEME_241: gates_compress_241}
+REGISTRY = {SCHEME_231: gates_compress_231, SCHEME_241: gates_compress_241}
 
 
 def group_gates(scheme: CompressionScheme, wires: tuple[int, ...]) -> list[Gate]:
     """One group's compressor on its m ``wires``; the wires past n_out end at 0."""
     try:
-        emit = _REGISTRY[scheme]
+        emit = REGISTRY[scheme]
     except KeyError:
         raise ValueError(f"no circuit builder for scheme {scheme.label}") from None
     return emit(*wires)

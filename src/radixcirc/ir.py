@@ -307,4 +307,10 @@ def dumps(c: Circuit, indent: int | None = None) -> str:
 
 
 def loads(s: str) -> Circuit:
-    return circuit_from_dict(json.loads(s))
+    """The circuit a ``dumps`` text describes.  Text that is not JSON, nests too
+    deep or holds an integer too long to parse raises ``CircuitError``."""
+    try:
+        doc = json.loads(s)
+    except (ValueError, RecursionError) as e:
+        raise CircuitError(f"malformed JSON: {e}") from None
+    return circuit_from_dict(doc)

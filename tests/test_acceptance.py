@@ -4,6 +4,7 @@ Each test prints exactly one `criterion N (...): PASS|FAIL` line on the
 terminal (bypassing capture) and then asserts, so `pytest tests/test_acceptance.py`
 gives a readable scorecard.
 """
+import functools
 import math
 import time
 
@@ -42,9 +43,6 @@ FLAGSHIP = [
     (bb.MODE_PLUS_K, cmp.SCHEME_231, 168, 0xDEADBEEFCAFEBABE0123456789ABCDEF0123456789 % (1 << 168)),
     (bb.MODE_PLUS_K, cmp.SCHEME_241, 60, 0x5A5A5A5A5A5A5A5 % (1 << 60)),
 ]
-
-# filled by criterion 6, read by criterion 7
-_MAX_DIGITS: dict[str, int] = {}
 
 
 def _report(num, name, ok, capsys):
@@ -139,29 +137,32 @@ def test_criterion_5_feasibility_thresholds(capsys):
     _check(5, "feasibility thresholds", capsys, body)
 
 
+@functools.cache
 def _flagship_sweep(mode, scheme, n, k):
+    """(largest digit, wrong output rows) over 1,032 random rows and every carry variant.
+    Asserts nothing, so criteria 6 and 7 each judge only their own property."""
     plan = bb.plan_blocks(mode, scheme, n)
     rng = np.random.default_rng(2024)
-    worst = 0
+    worst = wrong = 0
     for ci, co in CARRY_VARIANTS:
         if mode == bb.MODE_AB:
             circ = bb.build_block_adder(plan, ci, co)
         else:
             circ = bb.build_block_plus_k(plan, k, ci, co)
-        assert circ.width == plan.registers * n + ci + co  # zero external ancilla
         layout = plan.layout(ci, co)
         ins = oracle.adder_inputs(layout, circ.width, rng, 256)
         out, max_digit = sim.run_batch(circ, ins, track_max=True)
         worst = max(worst, max_digit)
-        assert (out == oracle.adder_outputs(layout, ins, k)).all()
-    return worst
+        wrong += int((out != oracle.adder_outputs(layout, ins, k)).any(axis=1).sum())
+    return worst, wrong
 
 
 def test_criterion_6_flagship_correctness(capsys):
     def body():
         t0 = time.perf_counter()
         for mode, scheme, n, k in FLAGSHIP:
-            _MAX_DIGITS[f"{mode}:{scheme.label}:{n}"] = _flagship_sweep(mode, scheme, n, k)
+            _, wrong = _flagship_sweep(mode, scheme, n, k)
+            assert wrong == 0, (mode, scheme.label, n, wrong)
         assert time.perf_counter() - t0 < 300.0
 
     _check(6, "flagship block adders", capsys, body)
@@ -169,27 +170,32 @@ def test_criterion_6_flagship_correctness(capsys):
 
 def test_criterion_7_intermediate_radix_bound(capsys):
     def body():
-        if not _MAX_DIGITS:
-            for mode, scheme, n, k in FLAGSHIP:
-                _MAX_DIGITS[f"{mode}:{scheme.label}:{n}"] = _flagship_sweep(mode, scheme, n, k)
-        for key, worst in _MAX_DIGITS.items():
-            bound = 2 if "2-3-1" in key else 3
-            assert worst == bound, (key, worst)
+        for mode, scheme, n, k in FLAGSHIP:
+            worst, _ = _flagship_sweep(mode, scheme, n, k)
+            assert worst == scheme.y - 1, (mode, scheme.label, n, worst)
 
     _check(7, "intermediate radix bound", capsys, body)
+
+
+# A+B block adders with a carry-out: scheme, its block count, and n doubling up to 1920.
+DEPTH_SERIES = [(cmp.SCHEME_231, 5, [30 << i for i in range(7)]), (cmp.SCHEME_241, 4, [60 << i for i in range(6)])]
 
 
 def test_criterion_8_depth_scaling(capsys):
     def body():
         t0 = time.perf_counter()
-        depths = []
-        for n in (30, 60, 120, 240):
-            plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n)
-            depths.append(ir.depth(bb.build_block_adder(plan)))
-        diffs = [b - a for a, b in zip(depths, depths[1:])]
-        assert min(diffs) > 0
-        assert max(diffs) <= 2 * min(diffs)
-        assert depths[-1] / depths[0] < 2.5
+        for scheme, c, sizes in DEPTH_SERIES:
+            depths = []
+            for n in sizes:
+                plan = bb.plan_blocks(bb.MODE_AB, scheme, n)
+                circ = bb.build_block_adder(plan, carry_out=True)
+                assert plan.c == c and circ.width == 2 * n + 1, (scheme.label, n)  # zero external ancilla
+                depths.append(ir.depth(circ))
+            # O(log n) depth: each doubling of n adds a bounded number of layers.
+            diffs = [b - a for a, b in zip(depths, depths[1:])]
+            assert 0 < min(diffs) and max(diffs) <= 64, (scheme.label, depths)
+            assert max(diffs) <= 2 * min(diffs)
+            assert depths[-1] / depths[0] < 2.5
 
         def cla_depth(n):
             return ir.depth(build_cla_adder(n, False, False).circuit)

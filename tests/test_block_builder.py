@@ -59,16 +59,20 @@ def test_plan_geometry_and_sidecar():
     # a carry slot is an ancilla of its own block
     for j, slot in enumerate(plan.carry_slots):
         assert slot in plan.block_layouts[j].ancilla
-    d = plan.to_dict()
-    assert set(d) == {"mode", "scheme", "n", "c", "blocks", "carry_slots"}
-    assert d["mode"] == "a+b" and d["scheme"] == "2-4-1" and d["n"] == 12 and d["c"] == 4
-    assert d["blocks"] == plan.blocks and d["carry_slots"] == plan.carry_slots
 
 
 def test_plan_rejects_block_count_not_dividing_n():
     # n=13, c=4 used to build an adder that ignored the top bit: 4096 + 4096 gave 4096.
     with pytest.raises(ValueError, match="c dividing n"):
         bb.BlockPlan(bb.MODE_AB, cmp.SCHEME_241, 13, 4)
+
+
+@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("mode", "a-b"),
+                                         ("mode", ["a+b"])])
+def test_plan_rejects_malformed_fields(field, value):
+    fields = {"mode": bb.MODE_AB, "scheme": cmp.SCHEME_241, "n": 12, "c": 4, field: value}
+    with pytest.raises(ValueError):
+        bb.BlockPlan(**fields)
 
 
 def test_plan_layout_built_once_per_carry_variant():
@@ -254,6 +258,13 @@ def _plan_space_property(plan, carries, seed):
     digits = rng.integers(0, np.array(circ.dims), size=(8, circ.width))
     back, _ = sim.run_batch(oracle.forward_then_inverse(circ), digits)
     assert (back == digits).all()
+
+
+def test_plan_of_reads_each_feasible_plan_off_its_wires():
+    for i, plan in enumerate(FEASIBLE):
+        carry_in, carry_out = CARRIES[i % len(CARRIES)]
+        assert bb.plan_of(plan.layout(carry_in, carry_out).new_circuit(plan.scheme.y)) == plan
+    assert bb.plan_of(ir.new_circuit([])) is None
 
 
 def test_property_block_adder_over_plan_space():

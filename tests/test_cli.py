@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from radixcirc import block_builder as bb
-from radixcirc import cli, ir
+from radixcirc import cli
 
 import oracle
 
@@ -35,17 +35,6 @@ def test_build_stdout_and_determinism(tmp_path, capsys):
     assert run_cli("build", "--kind", "cla-adder", "--n", "4", "--carry-out") == 0
     out, err = capsys.readouterr()
     assert out == a.read_text() and err.startswith("kind=cla-adder width=")
-
-
-def test_build_block_writes_plan_sidecar(tmp_path):
-    out = tmp_path / "blk.json"
-    assert run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out)) == 0
-    plan = json.loads((tmp_path / "blk.plan.json").read_text())
-    assert plan["mode"] == "a+b" and plan["scheme"] == "2-4-1"
-    assert plan["n"] == 12 and plan["c"] == 4
-    assert len(plan["blocks"]) == 4 and len(plan["carry_slots"]) == 3
-    circ = ir.loads(out.read_text())
-    assert circ.width == 24
 
 
 def test_build_infeasible_exits_2(tmp_path, capsys):
@@ -165,6 +154,46 @@ def test_stats_reads_plan_sidecar(tmp_path, capsys):
     assert doc["ancilla_generated"] == 9
 
 
+@pytest.mark.parametrize("flags,width", [
+    ("block-adder --n 12 --scheme 241", 24),
+    ("block-adder --n 30 --scheme 231 --carry-in", 61),
+    ("block-plus-k --n 60 --scheme 241 --carry-out --k 12345", 61),
+    ("cla-adder --n 4 --carry-out", 14),
+    ("plus-k --n 4 --k 9 --carry-in", 9),
+    ("ripple-adder --n 4", 8),
+    ("compress231", 3),
+    ("compress241", 2),
+])
+def test_stats_derives_ancilla_generated_from_wires(tmp_path, capsys, flags, width):
+    argv = ["build", "--kind", *flags.split()]
+    _, plan = cli.build_kind(cli.make_parser().parse_args(argv))
+
+    def ancilla_generated(text):
+        path = tmp_path / "stats.json"
+        path.write_text(text)
+        assert run_cli("stats", str(path)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["width"] == width
+        return doc.get("ancilla_generated")
+
+    out = tmp_path / "c.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert sorted(tmp_path.iterdir()) == [out]  # no plan file next to the circuit
+    capsys.readouterr()
+    expected = None if plan is None else plan.ancilla_per_step
+    assert ancilla_generated(out.read_text()) == expected
+    assert run_cli(*argv) == 0
+    assert ancilla_generated(capsys.readouterr().out) == expected
+    if plan is not None:
+        # Wires that differ from the plan's layout in one name or one register dim are not its block adder.
+        doc = json.loads(out.read_text())
+        doc["wires"][1]["name"] = "x"
+        assert ancilla_generated(json.dumps(doc)) is None
+        doc = json.loads(out.read_text())
+        doc["wires"][plan.block_layouts[0].groups[1][0]]["dim"] += 1
+        assert ancilla_generated(json.dumps(doc)) is None
+
+
 def test_stats_malformed_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -194,73 +223,41 @@ def test_verify_corrupted_block_adder_exits_1(tmp_path, capsys):
     assert "FAIL block-adder" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("field,value", [("n", "12"), ("n", True), ("c", 0), ("c", 13), ("c", 5), ("c", 6), ("mode", "a-b"),
-                                         ("mode", ["a+b"])])
-def test_stats_malformed_plan_sidecar_exits_2(tmp_path, field, value):
-    out = tmp_path / "blk.json"
-    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
-    sidecar = tmp_path / "blk.plan.json"
-    plan = json.loads(sidecar.read_text())
-    plan[field] = value
-    sidecar.write_text(json.dumps(plan))
-    assert run_cli("stats", str(out)) == 2
-
-
 ONE_GATE = {"kind": "flip", "targets": [0], "params": [0, 1], "controls": []}
 WIRE = {"name": "a", "dim": 2}
 
 
-@pytest.mark.parametrize("doc,plan", [
-    pytest.param({"wires": [WIRE], "gates": [{**ONE_GATE, "targets": 0}]}, None, id="targets-int"),
-    pytest.param({"wires": [WIRE, WIRE], "gates": [{**ONE_GATE, "controls": [5]}]}, None, id="control-int"),
-    pytest.param({"wires": {"a": WIRE}, "gates": []}, None, id="wires-object"),
-    pytest.param([1, 2], None, id="top-level-list"),
-    pytest.param({"wires": [WIRE], "gates": [7]}, None, id="gate-int"),
-    pytest.param({"wires": [WIRE], "gates": [ONE_GATE]}, [], id="plan-list"),
+@pytest.mark.parametrize("doc", [
+    pytest.param({"wires": [WIRE], "gates": [{**ONE_GATE, "targets": 0}]}, id="targets-int"),
+    pytest.param({"wires": [WIRE, WIRE], "gates": [{**ONE_GATE, "controls": [5]}]}, id="control-int"),
+    pytest.param({"wires": {"a": WIRE}, "gates": []}, id="wires-object"),
+    pytest.param([1, 2], id="top-level-list"),
+    pytest.param({"wires": [WIRE], "gates": [7]}, id="gate-int"),
 ])
-def test_stats_malformed_document_exits_2(tmp_path, capsys, doc, plan):
+def test_stats_malformed_document_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
-    if plan is not None:
-        (tmp_path / "c.plan.json").write_text(json.dumps(plan))
     assert run_cli("stats", str(path)) == 2
     assert "error: " in capsys.readouterr().err
 
 
-def test_stats_rejects_sidecar_of_other_circuit(tmp_path, capsys):
-    small, big = tmp_path / "small.json", tmp_path / "big.json"
-    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(small))
-    run_cli("build", "--kind", "block-adder", "--n", "30", "--scheme", "231", "--out", str(big))
-    capsys.readouterr()
-    assert run_cli("stats", str(small), "--plan", str(tmp_path / "big.plan.json")) == 2
-    assert "60 register wires of dim 3" in capsys.readouterr().err
-    assert run_cli("stats", str(big), "--plan", str(tmp_path / "small.plan.json")) == 2
-    assert run_cli("stats", str(small), "--plan", str(tmp_path / "small.plan.json")) == 0
-    # an explicit --plan must exist; only the default <circuit>.plan.json is optional
-    assert run_cli("stats", str(small), "--plan", str(tmp_path / "nope.json")) == 2
-
-
-def test_stats_checks_sidecar_fits_circuit_before_planning(tmp_path, monkeypatch, capsys):
-    # c=4 divides n=10^16, so the plan is valid; planning it would scan 10^8 divisor candidates.
-    out = tmp_path / "blk.json"
-    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
-    sidecar = tmp_path / "blk.plan.json"
-    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n": 10**16}))
-    calls = []
-    monkeypatch.setattr(bb, "plan_blocks", lambda *args: calls.append(args))
-    assert run_cli("stats", str(out)) == 2
-    assert calls == [] and "register wires" in capsys.readouterr().err
-
-
-def test_stats_sidecar_lacking_a_field_exits_2(tmp_path, capsys):
-    out = tmp_path / "blk.json"
-    run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
-    sidecar = tmp_path / "blk.plan.json"
-    plan = json.loads(sidecar.read_text())
-    del plan["scheme"]
-    sidecar.write_text(json.dumps(plan))
-    assert run_cli("stats", str(out)) == 2
-    assert "lacks 'scheme'" in capsys.readouterr().err
+# A long integer is a gate target, not a wire dim: where Python has no digit limit it still
+# parses, and an unknown wire exits 2 too.
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+    pytest.param(json.dumps({"wires": [WIRE], "gates": [ONE_GATE]}).replace('"targets": [0]', '"targets": [' + "9" * 5000 + "]"),
+                 id="target-5000-digits"),
+])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stats"], id="stats"),
+    pytest.param(["simulate", "--input", "0"], id="simulate"),
+    pytest.param(["verify", "--kind", "compress241", "--exhaustive", "--circuit"], id="verify"),
+])
+def test_unparsable_json_exits_2(tmp_path, capsys, text, argv):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert run_cli(*argv, str(path)) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -117,7 +117,7 @@ def test_loads_rejects_invalid_gate():
     doc = {"wires": [{"name": "a", "dim": 2}], "gates": [{"kind": "incr", "targets": [0], "params": [5], "controls": []}]}
     with pytest.raises(CircuitError):
         ir.circuit_from_dict(doc)
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(CircuitError, match="malformed JSON"):
         ir.loads("{not json")
 
 
