@@ -1,7 +1,8 @@
 """Command-line front end: build, simulate, verify and stats.
 
 Exit codes: 0 on success or a passing verification, 1 when verification
-finds a counterexample, 2 on usage errors or an infeasible build request.
+finds a counterexample, 2 on usage errors or an infeasible build request,
+141 when the reader of standard output closes it early.
 
 Sampling uses numpy's default PCG64 generator so a (seed, samples) pair
 reproduces the exact same verification run.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -273,7 +275,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{flag} must be >= {low}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early is met here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head -1`): point stdout at devnull so the flush at
+        # exit stays quiet, and end with the status of a process killed by SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ir.CircuitError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

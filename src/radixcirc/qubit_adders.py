@@ -7,8 +7,10 @@ carry-out on a separate zero-initialized interface wire):
 
 * ``cla_gates`` - carry-lookahead with a Brent-Kung style prefix tree over
   generate/propagate bits, O(log n) depth, using at most
-  2n - w(n) - floor(log2 n) ancilla.  With a constant k in place of A, gates
-  controlled on a_i are dropped (k_i = 0) or demoted (k_i = 1).
+  2n - w(n) - floor(log2 n) ancilla: the carries, then the sum, then the same
+  carry computation run backwards on ~S to clear the carries.  With a
+  constant k in place of A, gates controlled on a_i are dropped (k_i = 0) or
+  demoted (k_i = 1).
 * ``ripple_gates`` - O(n) depth, zero ancilla, for sizes where block
   compression is infeasible.
 
@@ -187,48 +189,28 @@ def cla_gates(w: AdderWiring, k: int | None = None) -> list[Gate]:
             return [x(w.b[i])] if k_bit(i) else []
         return [cx(w.a[i], w.b[i])]
 
-    m_fwd = n if has_cout else n - 1
     z: list[int | None] = [None] + list(w.ancilla[: n - 1])
     if has_cout:
         z.append(w.carry_out)
     pool = list(w.ancilla[n - 1 :])
 
-    gates: list[Gate] = []
-    # generate and propagate layers
-    for i in range(m_fwd):
-        gates += gen(i, z[i + 1])
-    for i in range(n):
-        gates += prop(i)
-    fold = [ccx(w.carry_in, w.b[0], z[1])] if (has_cin and m_fwd >= 1) else []
-    gates += fold
-    # carry tree: z[i] becomes the carry into position i
-    gates += _network_gates(m_fwd, {i: w.b[i] for i in range(1, m_fwd)}, z, pool)
+    def carries(m: int, props: int) -> list[Gate]:
+        """Generate and propagate layers, then the carry tree: z[i] becomes the carry into position i <= m."""
+        gates = [g for i in range(m) for g in gen(i, z[i + 1])]
+        gates += [g for i in range(props) for g in prop(i)]
+        if has_cin and m >= 1:
+            gates.append(ccx(w.carry_in, w.b[0], z[1]))
+        return gates + _network_gates(m, {i: w.b[i] for i in range(1, m)}, z, pool)
+
+    gates = carries(n if has_cout else n - 1, n)
     # sum layer
-    for i in range(1, n):
-        gates.append(cx(z[i], w.b[i]))
+    gates += [cx(z[i], w.b[i]) for i in range(1, n)]
     if has_cin:
         gates.append(cx(w.carry_in, w.b[0]))
-
-    if n < 2:
-        return gates
-
-    # Uncompute carries z[1..n-1] from (A, S) via the borrow network:
-    # the borrows of S - A - c_in equal the carries just used, with
-    # generate a_i AND NOT s_i and propagate NOT (a_i XOR s_i).
-    for i in range(n - 1):
-        gates += prop(i)
-        gates.append(x(w.b[i]))
-    m_und = n - 1
-    und_fold = [ccx(w.carry_in, w.b[0], z[1])] if has_cin else []
-    und_net = und_fold + _network_gates(m_und, {i: w.b[i] for i in range(1, m_und)}, z, pool)
-    gates += [gate for gate in reversed(und_net)]  # all self-inverse
-    for i in range(n - 1):
-        gates += prop(i)
-    for i in range(n - 1):
-        gates += gen(i, z[i + 1])
-    for i in range(n - 1):
-        gates.append(x(w.b[i]))
-    return gates
+    # z[1..n-1] are also the carries of A + ~S + c_in over the low n-1 bits,
+    # so that computation, run backwards (every gate is a flip), clears them.
+    not_s = [g for i in range(n - 1) for g in (*prop(i), x(w.b[i]))]
+    return gates + not_s + carries(n - 1, n - 1)[::-1] + [x(w.b[i]) for i in range(n - 1)]
 
 
 # --- ripple fallback ------------------------------------------------------
@@ -266,8 +248,8 @@ def ripple_gates(w: AdderWiring) -> list[Gate]:
         gates.append(cx(w.a[i], w.b[i]))
     if has_cout:
         gates.append(cx(w.a[n - 1], w.carry_out))
-    for i in range(n - 2, 0, -1):
-        gates.append(cx(w.a[i], w.a[i + 1]))
+    spread = [cx(w.a[i], w.a[i + 1]) for i in range(n - 2, 0, -1)]
+    gates += spread
     for i in range(n - 1):
         gates.append(ccx(w.a[i], w.b[i], w.a[i + 1]))
     if has_cout:
@@ -275,8 +257,7 @@ def ripple_gates(w: AdderWiring) -> list[Gate]:
     for i in range(n - 1, 0, -1):
         gates.append(cx(w.a[i], w.b[i]))
         gates.append(ccx(w.a[i - 1], w.b[i - 1], w.a[i]))
-    for i in range(1, n - 1):
-        gates.append(cx(w.a[i], w.a[i + 1]))
+    gates += spread[::-1]
     for i in range(n):
         gates.append(cx(w.a[i], w.b[i]))
     return gates

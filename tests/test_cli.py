@@ -295,6 +295,21 @@ def test_module_entry_point_runs_cli_once():
     assert proc.returncode == 0 and "PASS compress231" in proc.stdout, proc.stderr
 
 
+def test_closed_stdout_ends_quietly():
+    # `radixcirc build ... | head -1`: about 970 KB of JSON, far more than a pipe holds, so the
+    # write after the reader has gone always hits the closed pipe.
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "radixcirc.cli", "build", "--kind", "cla-adder", "--n", "240"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "error:" not in err and "Traceback" not in err, err
+
+
 def test_internal_errors_escape_main(monkeypatch):
     def broken(*args):
         raise ValueError("internal bug")

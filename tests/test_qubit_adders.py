@@ -141,6 +141,19 @@ def test_adders_use_declared_ancilla_budget():
         assert len(built.wiring.ancilla) == ancilla_required_plus_k(n)
 
 
+@pytest.mark.parametrize("carry_in,carry_out", VARIANTS)
+def test_cla_touches_a_prefix_of_its_ancilla(carry_in, carry_out):
+    # README: the CLA touches a prefix of its ancilla, ancilla_required_plus_k(n) of them with a
+    # carry-out and at most that many without, so A+B leaves its last reserved ancilla idle.
+    for n in range(1, 129):
+        for built in (build_cla_adder(n, carry_in, carry_out), build_plus_k(n, (1 << n) - 1, carry_in, carry_out)):
+            ancilla = built.wiring.ancilla
+            touched = {w for g in built.circuit.gates for w in g.wires()} & set(ancilla)
+            count, bound = len(touched), ancilla_required_plus_k(n)
+            assert touched == set(ancilla[:count]), n
+            assert (count == bound) if carry_out else (count <= bound), n
+
+
 # README: CLA depth is at most 4*log2(n) + 10 for all n up to 512.  Every
 # n <= 64, plus each power of two and its neighbours up to 512.
 DEPTH_SIZES = sorted(set(range(1, 65)) | {2**k + d for k in range(6, 10) for d in (-1, 0, 1) if 2**k + d <= 512})
