@@ -4,8 +4,8 @@ The register is split into c blocks.  While one block is being added, every
 other block is compressed, and the freed wires supply the ancilla the
 carry-lookahead sub-adder needs.  Block carry-outs are parked on ancilla
 inside blocks that stay compressed, chained into the next block's carry-in,
-and finally cleared by re-running each sub-adder (inverse with carry-out,
-then forward without) in reverse block order.
+and finally cleared in reverse block order, each by the carry-out comparator
+on its block's sum.
 
 Feasibility uses exact per-step accounting: the ancilla generated by the
 c - 1 compressed blocks must cover the sub-adder's worst case plus up to
@@ -17,14 +17,14 @@ against the exact accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
 from . import compress as cmp
 from . import ir
 from .ir import Circuit, Gate, swap
-from .qubit_adders import AdderWiring, ancilla_required, ancilla_required_plus_k, cla_gates
+from .qubit_adders import AdderWiring, ancilla_required, ancilla_required_plus_k, carry_out_gates, cla_gates
 
 MODE_AB = "a+b"
 MODE_PLUS_K = "+k"
@@ -195,9 +195,9 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
     Forward: compress blocks 1..c-1; then for each block j, decompress it, add
     it, and (but for the last block) recompress it and park its carry-out in
     block j's carry slot.  Undo, for j = c-2 down to 0: recompress block j+1,
-    unpark carry j, decompress block j and clear the carry by running step j's
-    adder inverted, then again without a carry-out.  Final: decompress blocks
-    1..c-1.  Each block's compressor and each step's sub-adders are built once.
+    unpark carry j, decompress block j and clear the carry with the carry-out
+    comparator.  Final: decompress blocks 1..c-1.  Each block's compressor,
+    each step's sub-adder and each undo step's comparator is built once.
     """
     if not exact_accounting(plan):
         raise InfeasiblePlan(
@@ -210,8 +210,8 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
     compress = [cmp.block_gates(plan.scheme, blk) for blk in plan.block_layouts]
     decompress = [ir.invert_gates(gates, dims) for gates in compress]
 
-    def sub_adder(j: int, wiring: AdderWiring) -> list[Gate]:
-        return cla_gates(wiring, k=None if k is None else (k >> (j * nb)) & ((1 << nb) - 1))
+    def k_block(j: int) -> int | None:
+        return None if k is None else (k >> (j * nb)) & ((1 << nb) - 1)
 
     # Step j adds block j with carry-in from the previous step's slot.  Its ancilla
     # and carry-out come from the other blocks' freed wires that hold no parked carry.
@@ -222,7 +222,7 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
         cin = layout.carry_in if j == 0 else slots[j - 1]
         cout = pool[need] if j < c - 1 else layout.carry_out
         wiring = AdderWiring(a, b, cin, cout, tuple(pool[:need]))
-        steps.append((wiring, sub_adder(j, wiring)))
+        steps.append((wiring, cla_gates(wiring, k=k_block(j))))
 
     gates = [g for j in range(1, c) for g in compress[j]]
     for j, (wiring, cla) in enumerate(steps):
@@ -233,12 +233,11 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
             gates += compress[j]
             gates.append(swap(wiring.carry_out, slots[j]))
     for j in range(c - 2, -1, -1):
-        wiring, cla = steps[j]
+        wiring = steps[j][0]
         gates += compress[j + 1]
         gates.append(swap(slots[j], wiring.carry_out))
         gates += decompress[j]
-        gates += ir.invert_gates(cla, dims)
-        gates += sub_adder(j, replace(wiring, carry_out=None))
+        gates += carry_out_gates(wiring, k=k_block(j))
     gates += [g for j in range(1, c) for g in decompress[j]]
     return ir.extend(circ, gates)
 

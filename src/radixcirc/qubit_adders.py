@@ -14,10 +14,15 @@ carry-out on a separate zero-initialized interface wire):
 * ``ripple_gates`` - O(n) depth, zero ancilla, for sizes where block
   compression is infeasible.
 
-The block builder places ``cla_gates`` on its block layouts; ``build_*``
-place an emitter on the canonical layout.  All gates emitted here are binary
-(flips of levels 0/1 with value-1 controls), so they are safe on wires of any
-capacity >= 2.
+Beside them, ``carry_out_gates`` is the comparator that clears an adder's
+carry-out from its sum: it XORs the carry-out of ~B + A + c_in (~B + k + c_in)
+into the carry-out wire with the same carry computation and prefix tree,
+O(log n) depth, touching 2n - w(n) - floor(log2 n) - 1 ancilla.
+
+The block builder places ``cla_gates`` and ``carry_out_gates`` on its block
+layouts; ``build_*`` place an emitter on the canonical layout.  All gates
+emitted here are binary (flips of levels 0/1 with value-1 controls), so they
+are safe on wires of any capacity >= 2.
 """
 from __future__ import annotations
 
@@ -120,16 +125,19 @@ class AdderWiring:
         return (value(self.a) if self.a else None), value(self.b), cout
 
 
-def _check_wiring(w: AdderWiring, plus_k: bool = False, ancilla: Callable[[int], int] = lambda n: 0) -> int:
-    """n = len(B), after checking n >= 1, n A wires (none for +K) and ``ancilla(n)`` ancilla."""
+def _check_wiring(w: AdderWiring, k: int | None = None, ancilla: Callable[[int], int] = lambda n: 0) -> int:
+    """n = len(B), after checking n >= 1, n A wires (none when the constant ``k`` is given),
+    ``ancilla(n)`` ancilla and 0 <= k < 2^n."""
     n = len(w.b)
     if n < 1:
         raise ValueError("register size must be >= 1")
-    n_a = 0 if plus_k else n
+    n_a = 0 if k is not None else n
     if len(w.a) != n_a:
         raise ValueError(f"A register must have {n_a} wires for {n} B wires, got {len(w.a)}")
     if len(w.ancilla) < ancilla(n):
         raise ValueError(f"insufficient ancilla: need {ancilla(n)}, got {len(w.ancilla)}")
+    if k is not None and not 0 <= k < (1 << n):
+        raise ValueError(f"constant {k} out of range for {n} bits")
     return n
 
 
@@ -165,52 +173,65 @@ def _network_gates(m: int, p: dict[int, int], g: list[int | None], pool: list[in
     return p_rounds + g_rounds + c_rounds + [gate for gate in reversed(p_rounds)]
 
 
+def _propagate(w: AdderWiring, k: int | None, i: int) -> list[Gate]:
+    """Fold a_i (bit i of the constant ``k``, when given) into b_i."""
+    if k is None:
+        return [cx(w.a[i], w.b[i])]
+    return [x(w.b[i])] if (k >> i) & 1 else []
+
+
+def _carries(w: AdderWiring, k: int | None, m: int, props: int) -> list[Gate]:
+    """Generate and propagate layers, the carry-in fold, then the prefix tree:
+    the carry into position i <= m of A + B + c_in (k + B + c_in when ``k`` is
+    given) is XORed into z[i].
+
+    z[i] is ancilla i for i < n and the carry-out wire for i = n; tree nodes
+    come from the ancilla after those.  The generate a_i AND b_i goes into
+    z[i+1] for i < m, and a_i is folded into b_i for i < props.
+    """
+    n = len(w.b)
+    z = [None, *w.ancilla[: n - 1], w.carry_out]
+    if k is None:
+        gates = [ccx(w.a[i], w.b[i], z[i + 1]) for i in range(m)]
+    else:
+        gates = [cx(w.b[i], z[i + 1]) for i in range(m) if (k >> i) & 1]
+    gates += [g for i in range(props) for g in _propagate(w, k, i)]
+    if w.carry_in is not None and m >= 1:
+        gates.append(ccx(w.carry_in, w.b[0], z[1]))
+    return gates + _network_gates(m, {i: w.b[i] for i in range(1, m)}, z, list(w.ancilla[n - 1 :]))
+
+
 def cla_gates(w: AdderWiring, k: int | None = None) -> list[Gate]:
     """Carry-lookahead gate list on layout ``w``, using the carries it names; when
     ``k`` is given the A register is the constant k and a-controlled gates are specialized away."""
-    plus_k = k is not None
-    n = _check_wiring(w, plus_k, ancilla_required_plus_k if plus_k else ancilla_required)
-    if plus_k and not 0 <= k < (1 << n):
-        raise ValueError(f"constant {k} out of range for {n} bits")
-    has_cin, has_cout = w.carry_in is not None, w.carry_out is not None
-
-    def k_bit(i: int) -> int:
-        return (k >> i) & 1  # type: ignore[operator]
-
-    def gen(i: int, target: int) -> list[Gate]:
-        """generate of position i into target: a_i AND b_i."""
-        if plus_k:
-            return [cx(w.b[i], target)] if k_bit(i) else []
-        return [ccx(w.a[i], w.b[i], target)]
-
-    def prop(i: int) -> list[Gate]:
-        """fold a_i into b_i (propagate)."""
-        if plus_k:
-            return [x(w.b[i])] if k_bit(i) else []
-        return [cx(w.a[i], w.b[i])]
-
-    z: list[int | None] = [None] + list(w.ancilla[: n - 1])
-    if has_cout:
-        z.append(w.carry_out)
-    pool = list(w.ancilla[n - 1 :])
-
-    def carries(m: int, props: int) -> list[Gate]:
-        """Generate and propagate layers, then the carry tree: z[i] becomes the carry into position i <= m."""
-        gates = [g for i in range(m) for g in gen(i, z[i + 1])]
-        gates += [g for i in range(props) for g in prop(i)]
-        if has_cin and m >= 1:
-            gates.append(ccx(w.carry_in, w.b[0], z[1]))
-        return gates + _network_gates(m, {i: w.b[i] for i in range(1, m)}, z, pool)
-
-    gates = carries(n if has_cout else n - 1, n)
+    n = _check_wiring(w, k, ancilla_required if k is None else ancilla_required_plus_k)
+    gates = _carries(w, k, n if w.carry_out is not None else n - 1, n)
     # sum layer
-    gates += [cx(z[i], w.b[i]) for i in range(1, n)]
-    if has_cin:
+    gates += [cx(w.ancilla[i - 1], w.b[i]) for i in range(1, n)]
+    if w.carry_in is not None:
         gates.append(cx(w.carry_in, w.b[0]))
     # z[1..n-1] are also the carries of A + ~S + c_in over the low n-1 bits,
     # so that computation, run backwards (every gate is a flip), clears them.
-    not_s = [g for i in range(n - 1) for g in (*prop(i), x(w.b[i]))]
-    return gates + not_s + carries(n - 1, n - 1)[::-1] + [x(w.b[i]) for i in range(n - 1)]
+    not_s = [g for i in range(n - 1) for g in (*_propagate(w, k, i), x(w.b[i]))]
+    return gates + not_s + _carries(w, k, n - 1, n - 1)[::-1] + [x(w.b[i]) for i in range(n - 1)]
+
+
+def carry_out_gates(w: AdderWiring, k: int | None = None) -> list[Gate]:
+    """Comparator on layout ``w``: XOR into its carry-out wire the carry-out of
+    ~B + A + c_in (~B + k + c_in when ``k`` is given), restoring every other wire.
+
+    After ``cla_gates`` left S = A + B + c_in mod 2^n in B, that bit is the
+    carry-out it wrote, so this clears it.  Only the carries of ~B + A + c_in
+    are computed, with the carry-out wire as the top carry; then the same
+    gates run backwards, all but those on the carry-out wire, which no gate
+    reads.  It touches the first ``ancilla_required_plus_k(n)`` ancilla.
+    """
+    n = _check_wiring(w, k, ancilla_required_plus_k)
+    if w.carry_out is None:
+        raise ValueError("the comparator needs a carry-out wire")
+    not_b = [x(b) for b in w.b]
+    carries = _carries(w, k, n, n)
+    return not_b + carries + [g for g in reversed(carries) if g.targets[0] != w.carry_out] + not_b
 
 
 # --- ripple fallback ------------------------------------------------------

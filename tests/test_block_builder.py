@@ -204,15 +204,15 @@ def test_inverse_block_adder_round_trip():
 
 @pytest.mark.parametrize("carry_in,carry_out", [(False, False), (True, False), (False, True), (True, True)])
 def test_block_adder_231_depth_matches_readme(carry_in, carry_out):
-    # README: 314 at n=30 for every carry variant; at n=240, 473 without and
-    # 474 with a carry-out.
-    for n, depth in [(30, 314), (240, 474 if carry_out else 473)]:
+    # README: 238 at n=30 for every carry variant; at n=240, 347 without and
+    # 348 with a carry-out.
+    for n, depth in [(30, 238), (240, 348 if carry_out else 347)]:
         plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n)
         assert ir.depth(bb.build_block_adder(plan, carry_in, carry_out)) == depth
 
 
 def test_build_makes_each_compressor_and_sub_adder_once(monkeypatch):
-    calls = {"block_gates": 0, "cla_gates": 0}
+    calls = {"block_gates": 0, "cla_gates": 0, "carry_out_gates": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -222,13 +222,14 @@ def test_build_makes_each_compressor_and_sub_adder_once(monkeypatch):
 
     monkeypatch.setattr(cmp, "block_gates", counted("block_gates", cmp.block_gates))
     monkeypatch.setattr(bb, "cla_gates", counted("cla_gates", bb.cla_gates))
+    monkeypatch.setattr(bb, "carry_out_gates", counted("carry_out_gates", bb.carry_out_gates))
     for plan, build in [
         (bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, 240), lambda p: bb.build_block_adder(p, carry_out=True)),
         (bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 60), lambda p: bb.build_block_plus_k(p, 12345, True, True)),
     ]:
-        calls.update(block_gates=0, cla_gates=0)
+        calls.update(block_gates=0, cla_gates=0, carry_out_gates=0)
         build(plan)
-        assert calls == {"block_gates": plan.c, "cla_gates": 2 * plan.c - 1}
+        assert calls == {"block_gates": plan.c, "cla_gates": plan.c, "carry_out_gates": plan.c - 1}
 
 
 # Every feasible plan up to n=240: both modes, both schemes.

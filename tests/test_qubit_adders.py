@@ -11,6 +11,7 @@ from radixcirc.qubit_adders import (
     build_cla_adder,
     build_plus_k,
     build_ripple_adder,
+    carry_out_gates,
     cla_gates,
     ripple_gates,
 )
@@ -47,13 +48,16 @@ def test_spec_and_wiring_validation():
 
 
 # Each emitter checks the layout it is given, so the block builder's layouts are checked too.
+# Every layout names a carry-out, which the comparator needs; the ancilla case is one short
+# of the comparator's ancilla_required_plus_k(3) = 2 and so short of the CLA's 3 too.
 BAD_LAYOUTS = [
-    pytest.param(AdderWiring((0, 1), (2, 3), ancilla=(4,)), None, "insufficient ancilla", id="ancilla"),
-    pytest.param(AdderWiring((0,), (2, 3), ancilla=(4, 5)), None, "A register", id="short-a"),
-    pytest.param(AdderWiring((0, 1), (2,), ancilla=(4, 5)), None, "A register", id="short-b"),
-    pytest.param(AdderWiring((0, 1), (2, 3), ancilla=(4, 5)), 1, "A register", id="plus-k-with-a"),
-    pytest.param(AdderWiring((), (0, 1), ancilla=(2,)), 4, "out of range", id="k-too-big"),
-    pytest.param(AdderWiring((), (0, 1), ancilla=(2,)), -1, "out of range", id="k-negative"),
+    pytest.param(AdderWiring((0, 1, 2), (3, 4, 5), carry_out=6, ancilla=(7,)), None, "insufficient ancilla",
+                 id="ancilla"),
+    pytest.param(AdderWiring((0,), (2, 3), carry_out=6, ancilla=(4, 5)), None, "A register", id="short-a"),
+    pytest.param(AdderWiring((0, 1), (2,), carry_out=6, ancilla=(4, 5)), None, "A register", id="short-b"),
+    pytest.param(AdderWiring((0, 1), (2, 3), carry_out=6, ancilla=(4, 5)), 1, "A register", id="plus-k-with-a"),
+    pytest.param(AdderWiring((), (0, 1), carry_out=6, ancilla=(2,)), 4, "out of range", id="k-too-big"),
+    pytest.param(AdderWiring((), (0, 1), carry_out=6, ancilla=(2,)), -1, "out of range", id="k-negative"),
 ]
 
 
@@ -61,6 +65,47 @@ BAD_LAYOUTS = [
 def test_cla_gates_rejects_bad_layout(wiring, k, message):
     with pytest.raises(ValueError, match=message):
         cla_gates(wiring, k=k)
+
+
+@pytest.mark.parametrize("wiring,k,message", BAD_LAYOUTS)
+def test_carry_out_gates_rejects_bad_layout(wiring, k, message):
+    with pytest.raises(ValueError, match=message):
+        carry_out_gates(wiring, k=k)
+
+
+def test_carry_out_gates_needs_a_carry_out_wire():
+    with pytest.raises(ValueError, match="carry-out wire"):
+        carry_out_gates(AdderWiring((0, 1), (2, 3), carry_in=4, ancilla=(5, 6)))
+
+
+def comparator_wiring(n: int, plus_k: bool, carry_in: bool) -> AdderWiring:
+    """a, b, the carries, then two ancilla more than the comparator may touch."""
+    n_a = 0 if plus_k else n
+    pos = n_a + n + carry_in + 1
+    return AdderWiring(a=tuple(range(n_a)), b=tuple(range(n_a, n_a + n)), carry_in=n_a + n if carry_in else None,
+                       carry_out=pos - 1, ancilla=tuple(range(pos, pos + ancilla_required_plus_k(n) + 2)))
+
+
+@pytest.mark.parametrize("carry_in", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_carry_out_gates_exhaustive(n, carry_in):
+    # The comparator flips only its carry-out wire, by the big-integer carry-out of
+    # ~B + A + c_in (~B + k + c_in), and touches exactly ancilla_required_plus_k(n) ancilla, a prefix.
+    for k in [None, *range(1 << n)]:
+        w = comparator_wiring(n, k is not None, carry_in)
+        gates = carry_out_gates(w, k)
+        touched = {wire for g in gates for wire in g.wires()} & set(w.ancilla)
+        assert touched == set(w.ancilla[: ancilla_required_plus_k(n)]), (n, k)
+
+        rows = oracle.adder_inputs(w, w.width)
+        ins = np.vstack([rows, rows])
+        ins[len(rows):, w.carry_out] = 1
+        not_b = ins.copy()
+        not_b[:, w.b] ^= 1
+        exp = ins.copy()
+        exp[:, w.carry_out] ^= oracle.adder_outputs(w, not_b, k)[:, w.carry_out]
+        out, _ = sim.run_batch(ir.extend(w.new_circuit(), gates), ins)
+        assert (out == exp).all(), (n, k)
 
 
 def test_ripple_gates_rejects_bad_layout():
