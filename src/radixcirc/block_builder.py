@@ -198,6 +198,9 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
     unpark carry j, decompress block j and clear the carry with the carry-out
     comparator.  Final: decompress blocks 1..c-1.  Each block's compressor,
     each step's sub-adder and each undo step's comparator is built once.
+    ``ir.cancel_inverses`` then drops what undoes itself: a group compressed
+    and decompressed with no use of its ancilla in between, the comparator's
+    carries the carry-out never reads, and the cascades these expose.
     """
     if not exact_accounting(plan):
         raise InfeasiblePlan(
@@ -239,7 +242,7 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
         gates += decompress[j]
         gates += carry_out_gates(wiring, k=k_block(j))
     gates += [g for j in range(1, c) for g in decompress[j]]
-    return ir.extend(circ, gates)
+    return ir.extend(circ, ir.cancel_inverses(gates, dims))
 
 
 def build_block_adder(plan: BlockPlan, carry_in: bool = False, carry_out: bool = False) -> Circuit:

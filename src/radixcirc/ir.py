@@ -40,7 +40,7 @@ class Wire:
             raise CircuitError(f"wire {self.name!r}: dim must be >= 2, got {self.dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A primitive gate: kind, 1-2 targets, kind parameters, 0-2 controls.
 
@@ -53,6 +53,8 @@ class Gate:
     targets: tuple[int, ...]
     params: tuple[int, ...] = ()
     controls: tuple[tuple[int, int], ...] = ()
+    # Targets then control wires, set by __post_init__; not part of equality or hash.
+    _wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -65,9 +67,10 @@ class Gate:
             raise CircuitError(f"{self.kind} takes {n_params} param(s), got {len(self.params)}")
         if len(self.controls) > 2:
             raise CircuitError("at most 2 controls are supported")
-        touched = list(self.targets) + [w for w, _ in self.controls]
+        touched = tuple(self.targets) + tuple([w for w, _ in self.controls])
         if len(set(touched)) != len(touched):
-            raise CircuitError(f"targets and control wires must be pairwise distinct: {touched}")
+            raise CircuitError(f"targets and control wires must be pairwise distinct: {list(touched)}")
+        object.__setattr__(self, "_wires", touched)
 
     @property
     def arity(self) -> int:
@@ -75,7 +78,7 @@ class Gate:
 
     def wires(self) -> tuple[int, ...]:
         """All wire ids the gate touches (targets then controls)."""
-        return self.targets + tuple(w for w, _ in self.controls)
+        return self._wires
 
 
 def flip(target: int, i: int, j: int, controls: Iterable[tuple[int, int]] = ()) -> Gate:
@@ -192,6 +195,41 @@ def invert_gates(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
     d-k on its dim-d target; flips and swaps are self-inverse."""
     return [Gate(INCR, g.targets, (dims[g.targets[0]] - g.params[0],), g.controls) if g.kind == INCR else g
             for g in reversed(gates)]
+
+
+def cancel_inverses(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
+    """The gates with every adjacent inverse pair removed, in one linear pass.
+
+    Each wire keeps a stack of the kept gates on it.  A gate g and the kept
+    gate h cancel when h is on top of every wire g touches and g undoes h:
+    the same kind, targets and controls, equal params for a flip or swap, and
+    increments that sum to the target's dim.  Removing h exposes the gates
+    under it, so cancellations cascade, and the output has no adjacent
+    inverse pair left: a gate on top of a stack is only ever removed by its
+    own partner, so a gate kept above another on a wire stays between it and
+    any later gate there.
+    """
+    kept: list[Gate | None] = []
+    stacks: list[list[int]] = [[] for _ in dims]
+    for g in gates:
+        wires = g.wires()
+        top = stacks[wires[0]]
+        if top:
+            i = top[-1]
+            h = kept[i]
+            if (h.targets == g.targets and h.controls == g.controls and h.kind == g.kind
+                    and all(stacks[w][-1] == i for w in wires[1:])
+                    and (h.params[0] + g.params[0] == dims[g.targets[0]] if g.kind == INCR
+                         else h.params == g.params)):
+                kept[i] = None
+                for w in wires:
+                    stacks[w].pop()
+                continue
+        i = len(kept)
+        kept.append(g)
+        for w in wires:
+            stacks[w].append(i)
+    return [g for g in kept if g is not None]
 
 
 def inverse(c: Circuit) -> Circuit:

@@ -20,7 +20,8 @@ into the carry-out wire with the same carry computation and prefix tree,
 O(log n) depth, touching 2n - w(n) - floor(log2 n) - 1 ancilla.
 
 The block builder places ``cla_gates`` and ``carry_out_gates`` on its block
-layouts; ``build_*`` place an emitter on the canonical layout.  All gates
+layouts; ``build_*`` place an emitter on the canonical layout, less its
+adjacent inverse pairs (``ir.cancel_inverses``).  All gates
 emitted here are binary (flips of levels 0/1 with value-1 controls), so they
 are safe on wires of any capacity >= 2.
 """
@@ -309,19 +310,25 @@ def _canonical(n: int, n_a: int, carry_in: bool, carry_out: bool, n_ancilla: int
     )
 
 
+def _placed(wiring: AdderWiring, gates: list[Gate]) -> BuiltAdder:
+    """The circuit of ``wiring``'s wires holding ``gates`` less their adjacent inverse pairs."""
+    circ = wiring.new_circuit()
+    return BuiltAdder(ir.extend(circ, ir.cancel_inverses(gates, circ.dims)), wiring)
+
+
 def build_cla_adder(n: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
     """Log-depth in-place adder: a, b, carries, then ``ancilla_required(n)`` ancilla."""
     wiring = _canonical(n, n, carry_in, carry_out, ancilla_required(n))
-    return BuiltAdder(ir.extend(wiring.new_circuit(), cla_gates(wiring)), wiring)
+    return _placed(wiring, cla_gates(wiring))
 
 
 def build_plus_k(n: int, k: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
     """In-place B += k: b, carries, then ``ancilla_required_plus_k(n)`` ancilla."""
     wiring = _canonical(n, 0, carry_in, carry_out, ancilla_required_plus_k(n))
-    return BuiltAdder(ir.extend(wiring.new_circuit(), cla_gates(wiring, k=k)), wiring)
+    return _placed(wiring, cla_gates(wiring, k=k))
 
 
 def build_ripple_adder(n: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
     """Linear-depth in-place adder with zero ancilla: a, b, carries."""
     wiring = _canonical(n, n, carry_in, carry_out, 0)
-    return BuiltAdder(ir.extend(wiring.new_circuit(), ripple_gates(wiring)), wiring)
+    return _placed(wiring, ripple_gates(wiring))

@@ -193,7 +193,7 @@ def test_criterion_8_depth_scaling(capsys):
                 depths.append(ir.depth(circ))
             # O(log n) depth: each doubling of n adds a bounded number of layers.
             diffs = [b - a for a, b in zip(depths, depths[1:])]
-            assert 0 < min(diffs) and max(diffs) <= 40, (scheme.label, depths)
+            assert 0 < min(diffs) and max(diffs) <= 32, (scheme.label, depths)
             assert max(diffs) <= 2 * min(diffs)
             assert depths[-1] / depths[0] < 2.5
 

@@ -204,9 +204,9 @@ def test_inverse_block_adder_round_trip():
 
 @pytest.mark.parametrize("carry_in,carry_out", [(False, False), (True, False), (False, True), (True, True)])
 def test_block_adder_231_depth_matches_readme(carry_in, carry_out):
-    # README: 238 at n=30 for every carry variant; at n=240, 347 without and
-    # 348 with a carry-out.
-    for n, depth in [(30, 238), (240, 348 if carry_out else 347)]:
+    # README: 222 at n=30 for every carry variant; at n=240, 307 without and
+    # 308 with a carry-out.
+    for n, depth in [(30, 222), (240, 308 if carry_out else 307)]:
         plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n)
         assert ir.depth(bb.build_block_adder(plan, carry_in, carry_out)) == depth
 
@@ -250,6 +250,7 @@ def _plan_space_property(plan, carries, seed):
     ab = plan.mode == bb.MODE_AB
     k = None if ab else int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n)
     circ = bb.build_block_adder(plan, carry_in, carry_out) if ab else bb.build_block_plus_k(plan, k, carry_in, carry_out)
+    assert ir.cancel_inverses(circ.gates, circ.dims) == circ.gates
     layout = plan.layout(carry_in, carry_out)
     ins = oracle.adder_inputs(layout, circ.width, rng, 8)
     out, max_digit = sim.run_batch(circ, ins, track_max=True)

@@ -2,13 +2,14 @@ import itertools
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
-from radixcirc import ir, resources
+from radixcirc import ir, resources, sim
 from radixcirc.ir import Circuit, CircuitError, Gate, Wire
 from radixcirc.qubit_adders import build_cla_adder, build_plus_k, build_ripple_adder
 
@@ -42,6 +43,10 @@ def test_gate_arity_and_wires():
     g = ir.flip(2, 0, 1, [(0, 1), (1, 2)])
     assert g.arity == 3
     assert g.wires() == (2, 0, 1)
+    # equality, hash and repr stay on the four fields
+    same = Gate("flip", (2,), (0, 1), ((0, 1), (1, 2)))
+    assert g == same and hash(g) == hash(same) and g is not same
+    assert repr(g) == "Gate(kind='flip', targets=(2,), params=(0, 1), controls=((0, 1), (1, 2)))"
     assert ir.swap(0, 1).arity == 2
 
 
@@ -286,3 +291,103 @@ def test_loads_rejects_non_int_fields(field, value):
     # The well-typed gate comes first, so the bad one would match its sharing key.
     with pytest.raises(CircuitError):
         ir.circuit_from_dict({"wires": wires, "gates": [cx, g]})
+
+
+# --- cancel_inverses ------------------------------------------------------
+
+def net(gates, dims=(2, 2, 2)):
+    return ir.cancel_inverses(gates, dims)
+
+
+def test_cancel_inverses_cascades():
+    a, b = 0, 1
+    assert net([ir.x(a), ir.cx(a, b), ir.cx(a, b), ir.x(a)]) == []
+
+
+def test_cancel_inverses_keeps_a_pair_blocked_on_a_shared_wire():
+    a, b, c = 0, 1, 2
+    # the gate between shares the pair's target wire, or its control wire
+    for between in (ir.x(b), ir.x(a), ir.cx(c, a), ir.cx(a, c)):
+        gates = [ir.cx(a, b), between, ir.cx(a, b)]
+        assert net(gates) == gates, between
+    # the pair's target wire is a control wire of the gate between
+    gates = [ir.x(a), ir.cx(a, b), ir.x(a)]
+    assert net(gates) == gates
+
+
+def test_cancel_inverses_skips_a_disjoint_gate():
+    a, b, c = 0, 1, 2
+    assert net([ir.cx(a, b), ir.x(c), ir.cx(a, b)]) == [ir.x(c)]
+    assert net([ir.ccx(a, b, c), ir.x(3), ir.cx(4, 3), ir.ccx(a, b, c)], (2,) * 5) == [ir.x(3), ir.cx(4, 3)]
+
+
+def test_cancel_inverses_needs_increments_that_sum_to_the_dim():
+    assert net([ir.incr(0, 1), ir.incr(0, 2)], (3,)) == []
+    assert net([ir.incr(0, 1, [(1, 2)]), ir.incr(0, 2, [(1, 2)])], (3, 3)) == []
+    for gates in ([ir.incr(0, 1), ir.incr(0, 1)], [ir.incr(0, 2), ir.incr(0, 2)],
+                  [ir.incr(0, 1, [(1, 2)]), ir.incr(0, 2, [(1, 1)])]):
+        assert net(gates, (3, 3)) == gates
+
+
+def test_cancel_inverses_matches_kind_params_and_controls():
+    dims = (3, 3, 3)
+    assert net([ir.swap(0, 1), ir.swap(0, 1)], dims) == []
+    assert net([ir.swap(0, 1, [(2, 1)]), ir.swap(0, 1, [(2, 1)])], dims) == []
+    assert net([ir.flip(0, 1, 2, [(2, 0)]), ir.flip(0, 1, 2, [(2, 0)])], dims) == []
+    for gates in (
+        [ir.swap(0, 1, [(2, 1)]), ir.swap(0, 1, [(2, 2)])],
+        [ir.flip(0, 0, 1), ir.flip(0, 1, 2)],
+        [ir.flip(0, 0, 1), ir.incr(0, 2)],
+        [ir.cx(1, 0), ir.x(0)],
+    ):
+        assert net(gates, dims) == gates
+
+
+def adjacent_inverse_pairs(gates, dims):
+    """Brute force: the (i, j) with gate i the last before gate j on every wire gate j
+    touches, and the two gates equal (flip, swap) or increments summing to the dim."""
+    pairs = []
+    for j, g in enumerate(gates):
+        last = {max((i for i in range(j) if w in gates[i].wires()), default=None) for w in g.wires()}
+        if len(last) == 1 and None not in last:
+            (i,) = last
+            h = gates[i]
+            if g.kind == ir.INCR:
+                undoes = (h.kind, h.targets, h.controls) == (g.kind, g.targets, g.controls) and \
+                    h.params[0] + g.params[0] == dims[g.targets[0]]
+            else:
+                undoes = h == g
+            if undoes:
+                pairs.append((i, j))
+    return pairs
+
+
+@st.composite
+def gate_lists(draw):
+    """A random circuit's gates with the inverse of a random suffix appended, then
+    a random slice of the whole: input with cascades, blocked pairs and leftovers."""
+    c = draw(valid_circuits())
+    gates, dims = c.gates, c.dims
+    split = draw(st.integers(0, len(gates)))
+    both = gates + ir.invert_gates(gates[split:], dims)
+    lo = draw(st.integers(0, len(both)))
+    return c, both[lo:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists())
+def test_property_cancel_inverses_is_net_and_equivalent(drawn):
+    c, gates = drawn
+    dims = c.dims
+    out = ir.cancel_inverses(gates, dims)
+    assert ir.cancel_inverses(out, dims) == out
+    assert adjacent_inverse_pairs(out, dims) == []
+    assert ir.cancel_inverses(gates + ir.invert_gates(gates, dims), dims) == []
+    # out is a subsequence of gates that acts the same on every basis state
+    it = iter(gates)
+    assert all(any(g is h for h in it) for g in out)
+    if c.width:
+        states = np.array([s.digits for s in oracle.all_basis_states(c)])
+        want, _ = sim.run_batch(ir.extend(ir.new_circuit(c.wires), gates), states)
+        got, _ = sim.run_batch(ir.extend(ir.new_circuit(c.wires), out), states)
+        assert (got == want).all()

@@ -199,6 +199,25 @@ def test_cla_touches_a_prefix_of_its_ancilla(carry_in, carry_out):
             assert (count == bound) if carry_out else (count <= bound), n
 
 
+@pytest.mark.parametrize("carry_in,carry_out", VARIANTS)
+def test_builders_emit_net_circuits(carry_in, carry_out):
+    # No built adder up to n=64 holds an adjacent inverse pair, and each still adds and inverts.
+    rng = np.random.default_rng(13)
+    for n in range(1, 65):
+        k = int.from_bytes(rng.bytes(8), "little") % (1 << n)
+        for built, addend in ((build_cla_adder(n, carry_in, carry_out), None),
+                              (build_plus_k(n, k, carry_in, carry_out), k),
+                              (build_ripple_adder(n, carry_in, carry_out), None)):
+            c = built.circuit
+            assert ir.cancel_inverses(c.gates, c.dims) == c.gates, n
+            ins = oracle.adder_inputs(built.wiring, c.width, rng, 6)
+            out, _ = sim.run_batch(c, ins)
+            assert (out == oracle.adder_outputs(built.wiring, ins, addend)).all(), n
+            digits = rng.integers(0, 2, size=(6, c.width))
+            back, _ = sim.run_batch(oracle.forward_then_inverse(c), digits)
+            assert (back == digits).all(), n
+
+
 # README: CLA depth is at most 4*log2(n) + 10 for all n up to 512.  Every
 # n <= 64, plus each power of two and its neighbours up to 512.
 DEPTH_SIZES = sorted(set(range(1, 65)) | {2**k + d for k in range(6, 10) for d in (-1, 0, 1) if 2**k + d <= 512})
