@@ -190,16 +190,17 @@ def plan_of(circ: Circuit) -> BlockPlan | None:
 # --- construction ----------------------------------------------------------
 
 def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Circuit:
-    """The block schedule in one pass.
+    """The block schedule as one rule.
 
-    Forward: compress blocks 1..c-1; then for each block j, decompress it, add
-    it, and (but for the last block) recompress it and park its carry-out in
-    block j's carry slot.  Undo, for j = c-2 down to 0: recompress block j+1,
-    unpark carry j, decompress block j and clear the carry with the carry-out
-    comparator.  Final: decompress blocks 1..c-1.  Each block's compressor,
-    each step's sub-adder and each undo step's comparator is built once.
-    ``ir.cancel_inverses`` then drops what undoes itself: a group compressed
-    and decompressed with no use of its ancilla in between, the comparator's
+    Compress every block.  Step j decompresses block j, adds it, recompresses
+    it and (but for the last block) parks its carry-out in block j's carry
+    slot.  Undo, for j = c-2 down to 0: unpark carry j, decompress block j,
+    clear the carry with the carry-out comparator and recompress.  Finally,
+    decompress every block.  Each block's compressor, each step's sub-adder
+    and each undo step's comparator is built once.  ``ir.cancel_inverses``
+    then drops what undoes itself: block 0, compressed and at once
+    decompressed at the start and at the end, a group compressed and
+    decompressed with no use of its ancilla in between, the comparator's
     carries the carry-out never reads, and the cascades these expose.
     """
     if not exact_accounting(plan):
@@ -227,21 +228,16 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
         wiring = AdderWiring(a, b, cin, cout, tuple(pool[:need]))
         steps.append((wiring, cla_gates(wiring, k=k_block(j))))
 
-    gates = [g for j in range(1, c) for g in compress[j]]
+    gates = [g for blk in compress for g in blk]
     for j, (wiring, cla) in enumerate(steps):
-        if j:
-            gates += decompress[j]
-        gates += cla
+        gates += decompress[j] + cla + compress[j]
         if j < c - 1:
-            gates += compress[j]
             gates.append(swap(wiring.carry_out, slots[j]))
     for j in range(c - 2, -1, -1):
         wiring = steps[j][0]
-        gates += compress[j + 1]
         gates.append(swap(slots[j], wiring.carry_out))
-        gates += decompress[j]
-        gates += carry_out_gates(wiring, k=k_block(j))
-    gates += [g for j in range(1, c) for g in decompress[j]]
+        gates += decompress[j] + carry_out_gates(wiring, k=k_block(j)) + compress[j]
+    gates += [g for blk in decompress for g in blk]
     return ir.extend(circ, ir.cancel_inverses(gates, dims))
 
 

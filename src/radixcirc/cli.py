@@ -23,7 +23,7 @@ from . import ir
 from . import resources
 from . import sim
 from .ir import Circuit
-from .qubit_adders import AdderWiring, _canonical, build_cla_adder, build_plus_k, build_ripple_adder
+from .qubit_adders import AdderWiring, build_cla_adder, build_plus_k, build_ripple_adder
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -82,8 +82,9 @@ def _block_plan(args) -> bb.BlockPlan:
     return plan
 
 
-def build_kind(args) -> tuple[Circuit, bb.BlockPlan | None]:
-    """Construct the circuit named by ``args.kind``; block kinds carry a plan."""
+def build_kind(args) -> tuple[Circuit, AdderWiring | None]:
+    """Construct the circuit named by ``args.kind``, with the layout its builder
+    placed the gates by; None for the compressors."""
     kind = args.kind
     if kind == "compress231":
         return cmp.build_compress_231(), None
@@ -91,34 +92,22 @@ def build_kind(args) -> tuple[Circuit, bb.BlockPlan | None]:
         return cmp.build_compress_241(), None
     _require(args.n is not None, f"--n is required for kind {kind}")
     _require(args.n >= 1, "--n must be >= 1")
+    carries = args.carry_in, args.carry_out
     if kind in ADDER_KINDS:
-        carries = args.carry_in, args.carry_out
         if kind == "cla-adder":
-            return build_cla_adder(args.n, *carries).circuit, None
-        if kind == "ripple-adder":
-            return build_ripple_adder(args.n, *carries).circuit, None
-        return build_plus_k(args.n, _require_k(args), *carries).circuit, None
+            built = build_cla_adder(args.n, *carries)
+        elif kind == "ripple-adder":
+            built = build_ripple_adder(args.n, *carries)
+        else:
+            built = build_plus_k(args.n, _require_k(args), *carries)
+        return built.circuit, built.wiring
     plan = _block_plan(args)
     if kind == "block-adder":
-        return bb.build_block_adder(plan, args.carry_in, args.carry_out), plan
-    return bb.build_block_plus_k(plan, _require_k(args), args.carry_in, args.carry_out), plan
+        return bb.build_block_adder(plan, *carries), plan.layout(*carries)
+    return bb.build_block_plus_k(plan, _require_k(args), *carries), plan.layout(*carries)
 
 
 # --- oracles ---------------------------------------------------------------
-
-def register_layout(args, plan: bb.BlockPlan | None) -> AdderWiring | None:
-    """Where the kind's A, B and carry wires live; None for the compressors.
-
-    The oracle needs only these interface wires: every wire the layout does
-    not name must come back unchanged. So a standalone adder's layout is
-    taken without its ancilla.
-    """
-    if plan is not None:
-        return plan.layout(args.carry_in, args.carry_out)
-    if args.kind in ADDER_KINDS:
-        return _canonical(args.n, 0 if args.kind == "plus-k" else args.n, args.carry_in, args.carry_out, 0)
-    return None
-
 
 def _binary_inputs(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> np.ndarray:
     """Input matrix with binary values in columns ``cols`` and zeros elsewhere."""
@@ -134,10 +123,11 @@ def _binary_inputs(width: int, cols: list[int], exhaustive: bool, samples: int, 
     return ins
 
 
-def expected_outputs(kind: str, args, layout: AdderWiring | None, ins: np.ndarray) -> np.ndarray:
+def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: np.ndarray) -> np.ndarray:
     """Independent oracle for each circuit kind: the compressors' truth tables, and for
-    an adder a ripple-carry over the layout's bit columns, not the circuits' carry-lookahead.
-    A and every wire outside B and the carry-out keep their input values."""
+    an adder a ripple-carry over the layout's bit columns (A, or the constant ``k``
+    when the layout has no A), not the circuits' carry-lookahead.  A and every wire
+    outside B and the carry-out keep their input values, so the ancilla come back 0."""
     if layout is None:
         table = TABLE_231 if kind == "compress231" else TABLE_241
         return np.array([table[tuple(int(d) for d in row)] for row in ins], dtype=np.int64)
@@ -145,7 +135,7 @@ def expected_outputs(kind: str, args, layout: AdderWiring | None, ins: np.ndarra
     exp = ins.copy()
     carry = ins[:, layout.carry_in] if layout.carry_in is not None else 0
     for i, col in enumerate(layout.b):
-        a = ins[:, layout.a[i]] if layout.a else (args.k >> i) & 1
+        a = ins[:, layout.a[i]] if layout.a else (k >> i) & 1
         b = ins[:, col]
         exp[:, col] = a ^ b ^ carry
         carry = (a & b) | (carry & (a ^ b))
@@ -156,16 +146,15 @@ def expected_outputs(kind: str, args, layout: AdderWiring | None, ins: np.ndarra
 
 def run_verify(args) -> int:
     kind = args.kind
-    built_circ, plan = build_kind(args)
+    built_circ, layout = build_kind(args)
     circ = built_circ
     if args.circuit:
         circ = ir.loads(Path(args.circuit).read_text())
         _require(circ.dims == built_circ.dims, "circuit file wire dims do not match kind flags")
 
-    layout = register_layout(args, plan)
     cols = list(range(circ.width)) if layout is None else layout.inputs
     ins = _binary_inputs(circ.width, cols, args.exhaustive, args.samples, args.seed)
-    exp = expected_outputs(kind, args, layout, ins)
+    exp = expected_outputs(kind, args.k, layout, ins)
     out, _ = sim.run_batch(circ, ins)
     bad = np.nonzero((out != exp).any(axis=1))[0]
     if bad.size:
@@ -182,13 +171,14 @@ def run_verify(args) -> int:
 # --- commands --------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    circ, plan = build_kind(args)
+    circ, _ = build_kind(args)
     text = ir.dumps(circ, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
     summary = f"kind={args.kind} width={circ.width} depth={ir.depth(circ)} gates={len(circ.gates)}"
+    plan = bb.plan_of(circ)
     if plan is not None:
         summary += f" c={plan.c}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)

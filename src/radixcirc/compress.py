@@ -24,15 +24,17 @@ class CompressionScheme:
 
     x: int
     y: int
-    z: int
     m: int
     n_out: int
 
     def __post_init__(self):
         if not feasible(self.x, self.y, self.m, self.n_out):
             raise ValueError(f"infeasible scheme: {self.x}^{self.m} > {self.y}^{self.n_out}")
-        if self.m - self.n_out != self.z:
-            raise ValueError(f"z must equal m - n_out, got {self.z} != {self.m}-{self.n_out}")
+
+    @property
+    def z(self) -> int:
+        """Wires each group frees: the generated ancilla."""
+        return self.m - self.n_out
 
     @property
     def label(self) -> str:
@@ -46,8 +48,8 @@ def feasible(x: int, y: int, m: int, n_out: int) -> bool:
     return 0 < n_out < m and x**m <= y**n_out
 
 
-SCHEME_231 = CompressionScheme(x=2, y=3, z=1, m=3, n_out=2)
-SCHEME_241 = CompressionScheme(x=2, y=4, z=1, m=2, n_out=1)
+SCHEME_231 = CompressionScheme(x=2, y=3, m=3, n_out=2)
+SCHEME_241 = CompressionScheme(x=2, y=4, m=2, n_out=1)
 
 
 def scheme_by_name(name: str) -> CompressionScheme:

@@ -6,8 +6,8 @@ increments (add k modulo the wire dimension) and swaps, each optionally
 conditioned on up to two control wires holding specific digit values.
 
 Circuits are treated as immutable once built; every function here is pure
-except ``append_gate``, which mutates the circuit it was given during
-construction and returns it for chaining.
+except ``extend``, which validates gates and appends them to the circuit it
+was given during construction and returns it for chaining.
 """
 from __future__ import annotations
 
@@ -178,15 +178,10 @@ def binary_wires(names: Sequence[str], dim: int = 2) -> list[Wire]:
     return [Wire(i, n, dim) for i, n in enumerate(names)]
 
 
-def append_gate(c: Circuit, g: Gate) -> Circuit:
-    c.validate_gate(g)
-    c.gates.append(g)
-    return c
-
-
 def extend(c: Circuit, gates: Iterable[Gate]) -> Circuit:
     for g in gates:
-        append_gate(c, g)
+        c.validate_gate(g)
+        c.gates.append(g)
     return c
 
 
@@ -230,12 +225,6 @@ def cancel_inverses(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
         for w in wires:
             stacks[w].append(i)
     return [g for g in kept if g is not None]
-
-
-def inverse(c: Circuit) -> Circuit:
-    """Gates in reverse order with each +k increment replaced by +(d-k)."""
-    out = new_circuit(c.wires, c.input_bounds)
-    return extend(out, invert_gates(c.gates, c.dims))
 
 
 def depth(c: Circuit) -> int:

@@ -92,9 +92,9 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 
 def forward_then_inverse(c: Circuit) -> Circuit:
-    """``c`` followed by ``ir.inverse(c)``: the identity when inversion is right."""
+    """``c`` followed by its inverse: the identity when ``ir.invert_gates`` is right."""
     out = ir.new_circuit(c.wires, c.input_bounds)
-    return ir.extend(out, [*c.gates, *ir.inverse(c).gates])
+    return ir.extend(out, [*c.gates, *ir.invert_gates(c.gates, c.dims)])
 
 
 @dataclass

@@ -34,7 +34,7 @@ def test_build_stdout_and_determinism(tmp_path, capsys):
     # without --out the circuit goes to stdout and the summary to stderr
     assert run_cli("build", "--kind", "cla-adder", "--n", "4", "--carry-out") == 0
     out, err = capsys.readouterr()
-    assert out == a.read_text() and err.startswith("kind=cla-adder width=")
+    assert out == a.read_text() and err.startswith("kind=cla-adder width=") and " c=" not in err
 
 
 def test_build_infeasible_exits_2(tmp_path, capsys):
@@ -78,10 +78,37 @@ def test_verify_exhaustive_compress(capsys):
     assert run_cli("verify", "--kind", "compress241", "--exhaustive") == 0
 
 
-def test_verify_adders():
-    assert run_cli("verify", "--kind", "cla-adder", "--n", "3", "--carry-in", "--carry-out", "--exhaustive") == 0
-    assert run_cli("verify", "--kind", "ripple-adder", "--n", "3", "--exhaustive") == 0
-    assert run_cli("verify", "--kind", "plus-k", "--n", "4", "--k", "9", "--exhaustive") == 0
+CARRIES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("carry_in,carry_out", CARRIES)
+@pytest.mark.parametrize("flags", ["cla-adder --n 4", "ripple-adder --n 4", "plus-k --n 4 --k 9"])
+def test_verify_adders(capsys, flags, carry_in, carry_out):
+    kind = flags.split()[0]
+    argv = ["verify", "--kind", *flags.split(), "--exhaustive"] + ["--carry-in"] * carry_in + ["--carry-out"] * carry_out
+    assert run_cli(*argv) == 0
+    inputs = (4 if kind == "plus-k" else 8) + carry_in
+    assert capsys.readouterr().out == f"PASS {kind}: {1 << inputs} cases\n"
+
+
+@pytest.mark.parametrize("flags", [
+    "compress231",
+    "compress241",
+    "cla-adder --n 5 --carry-in --carry-out",
+    "plus-k --n 5 --k 21 --carry-out",
+    "ripple-adder --n 5 --carry-in",
+    "block-adder --n 12 --scheme 241 --carry-in --carry-out",
+    "block-plus-k --n 36 --scheme 241 --carry-out --k 12345",
+    "block-adder --n 30 --scheme 231",
+])
+def test_build_kind_layout_names_the_circuit_wires(flags):
+    circ, layout = cli.build_kind(cli.make_parser().parse_args(["build", "--kind", *flags.split()]))
+    if flags.startswith("compress"):
+        assert layout is None
+        return
+    names = layout.names()
+    assert sorted(names) == list(range(circ.width))  # every wire, ancilla included
+    assert {w: circ.wires[w].name for w in names} == names
 
 
 def test_verify_sampled_block(capsys):
@@ -147,7 +174,7 @@ def test_stats_expand_cost_model(tmp_path, capsys):
 def test_stats_reads_plan_sidecar(tmp_path, capsys):
     out = tmp_path / "blk.json"
     run_cli("build", "--kind", "block-adder", "--n", "12", "--scheme", "241", "--out", str(out))
-    capsys.readouterr()
+    assert capsys.readouterr().out.endswith(" c=4\n")  # the build summary reads the same plan
     assert run_cli("stats", str(out)) == 0
     doc = json.loads(capsys.readouterr().out)
     # 3 compressed blocks of 6 wires, one generated ancilla per 2-wire group
@@ -166,7 +193,8 @@ def test_stats_reads_plan_sidecar(tmp_path, capsys):
 ])
 def test_stats_derives_ancilla_generated_from_wires(tmp_path, capsys, flags, width):
     argv = ["build", "--kind", *flags.split()]
-    _, plan = cli.build_kind(cli.make_parser().parse_args(argv))
+    args = cli.make_parser().parse_args(argv)
+    plan = cli._block_plan(args) if args.kind in cli.BLOCK_KINDS else None
 
     def ancilla_generated(text):
         path = tmp_path / "stats.json"
@@ -332,7 +360,7 @@ ADDER_CASES = [
 
 
 @pytest.mark.parametrize("kind,n,scheme", ADDER_CASES)
-@pytest.mark.parametrize("carry_in,carry_out", [(False, False), (False, True), (True, False), (True, True)])
+@pytest.mark.parametrize("carry_in,carry_out", CARRIES)
 def test_expected_outputs_matches_big_int(kind, n, scheme, carry_in, carry_out):
     rng = np.random.default_rng(n)
     plus_k = kind.endswith("plus-k")
@@ -341,7 +369,6 @@ def test_expected_outputs_matches_big_int(kind, n, scheme, carry_in, carry_out):
         argv = ["verify", "--kind", kind, "--n", str(n), "--scheme", scheme, "--samples", "1"]
         argv += ["--carry-in"] * carry_in + ["--carry-out"] * carry_out + (["--k", str(k)] if plus_k else [])
         args = cli.make_parser().parse_args(argv)
-        _, plan = cli.build_kind(args)
-        layout = cli.register_layout(args, plan)
-        ins = oracle.adder_inputs(layout, layout.width, rng, 200)
-        assert (cli.expected_outputs(kind, args, layout, ins) == oracle.adder_outputs(layout, ins, k)).all()
+        circ, layout = cli.build_kind(args)
+        ins = oracle.adder_inputs(layout, circ.width, rng, 200)
+        assert (cli.expected_outputs(kind, k, layout, ins) == oracle.adder_outputs(layout, ins, k)).all()

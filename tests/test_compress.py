@@ -37,10 +37,9 @@ def test_scheme_constants_and_lookup():
     assert cmp.scheme_by_name("2-4-1") is cmp.SCHEME_241
     with pytest.raises(ValueError):
         cmp.scheme_by_name("259")
-    with pytest.raises(ValueError):
-        cmp.CompressionScheme(x=2, y=3, z=2, m=4, n_out=2)
-    with pytest.raises(ValueError, match="z must equal m - n_out"):
-        cmp.CompressionScheme(x=2, y=3, z=2, m=3, n_out=2)
+    with pytest.raises(ValueError, match="infeasible scheme"):
+        cmp.CompressionScheme(x=2, y=3, m=4, n_out=2)
+    assert (cmp.SCHEME_231.z, cmp.SCHEME_241.z) == (1, 1)
 
 
 def test_compress_231_truth_table():
@@ -82,7 +81,7 @@ def test_decompress_round_trip():
 
 
 def test_group_gates_unknown_scheme():
-    other = cmp.CompressionScheme(x=2, y=8, z=2, m=4, n_out=2)
+    other = cmp.CompressionScheme(x=2, y=8, m=4, n_out=2)
     with pytest.raises(ValueError, match="no circuit builder for scheme 2-8-2"):
         cmp.group_gates(other, (0, 1, 2, 3))
 
