@@ -10,7 +10,6 @@ reproduces the exact same verification run.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -114,7 +113,8 @@ def _binary_inputs(width: int, cols: list[int], exhaustive: bool, samples: int, 
     free = len(cols)
     if exhaustive:
         _require(free <= 20, f"exhaustive sweep over 2^{free} inputs exceeds {EXHAUSTIVE_LIMIT}")
-        rows = np.array(list(itertools.product((0, 1), repeat=free)), dtype=np.int64)
+        # Row i holds the bits of i, most significant first: itertools.product((0, 1), repeat=free) order.
+        rows = (np.arange(1 << free)[:, None] >> np.arange(free - 1, -1, -1)) & 1
     else:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 2, size=(samples, free), dtype=np.int64)

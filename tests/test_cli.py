@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -76,6 +77,17 @@ def test_verify_exhaustive_compress(capsys):
     assert run_cli("verify", "--kind", "compress231", "--exhaustive") == 0
     assert "PASS compress231: 8 cases" in capsys.readouterr().out
     assert run_cli("verify", "--kind", "compress241", "--exhaustive") == 0
+
+
+@pytest.mark.parametrize("free", range(1, 13))
+def test_exhaustive_rows_are_itertools_product_order(free):
+    width = free + 2
+    cols = list(range(1, free + 1))
+    ins = cli._binary_inputs(width, cols, True, 0, 0)
+    want = np.zeros((1 << free, width), dtype=np.int64)
+    want[:, cols] = list(itertools.product((0, 1), repeat=free))
+    assert ins.dtype == np.int64 and ins.shape == want.shape
+    assert (ins == want).all()
 
 
 CARRIES = [(False, False), (False, True), (True, False), (True, True)]

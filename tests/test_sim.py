@@ -83,6 +83,19 @@ def test_run_batch_matches_scalar_run():
         sim.run_batch(c, states[:, :2])
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param([1, 3, 0, 0], id="too-large-on-incremented-wire"),
+    pytest.param([0, 0, -1, 0], id="negative-on-flipped-wire"),
+    pytest.param([0, 0, 0, 2], id="too-large-on-untouched-wire"),
+])
+def test_run_batch_rejects_digits_outside_dim(row):
+    # Wire 3 (dim 2) is untouched by the gates of mixed_circuit.
+    c = ir.extend(ir.new_circuit(mixed_circuit().wires + (Wire(3, "d", 2),)), mixed_circuit().gates)
+    states = np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]])
+    with pytest.raises(ValueError, match="outside"):
+        sim.run_batch(c, states)
+
+
 def test_statevector_agrees_with_basis_run():
     c = mixed_circuit()
     for s in oracle.all_basis_states(c):
@@ -105,27 +118,48 @@ def test_statevector_cap():
 
 
 @st.composite
-def circuit_and_state(draw):
-    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+def circuits(draw):
+    """Up to 8 gates on 2-4 wires of dims 2-5 (dim 5 takes 3 planes and leaves
+    codes 5-7 unused): flips, increments, swaps between equal-dim wires, each
+    with 0-2 controls on any digit value."""
+    dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
     wires = [Wire(i, f"q{i}", d) for i, d in enumerate(dims)]
     c = ir.new_circuit(wires)
-    n_gates = draw(st.integers(0, 8))
-    for _ in range(n_gates):
+    for _ in range(draw(st.integers(0, 8))):
         t = draw(st.integers(0, len(dims) - 1))
-        kind = draw(st.sampled_from(["flip", "incr"]))
+        partners = [w for w in range(len(dims)) if w != t and dims[w] == dims[t]]
+        kind = draw(st.sampled_from(["flip", "incr", "swap"] if partners else ["flip", "incr"]))
         if kind == "flip":
             i = draw(st.integers(0, dims[t] - 1))
             j = draw(st.integers(0, dims[t] - 1).filter(lambda v: v != i))
             g = ir.flip(t, i, j)
-        else:
+        elif kind == "incr":
             g = ir.incr(t, draw(st.integers(1, dims[t] - 1)))
-        ctrl_pool = [w for w in range(len(dims)) if w != t]
-        if draw(st.booleans()):
-            w = draw(st.sampled_from(ctrl_pool))
-            g = ir.Gate(g.kind, g.targets, g.params, ((w, draw(st.integers(0, dims[w] - 1))),))
-        ir.extend(c, [g])
-    digits = tuple(draw(st.integers(0, d - 1)) for d in dims)
-    return c, digits
+        else:
+            g = ir.swap(t, draw(st.sampled_from(partners)))
+        pool = [w for w in range(len(dims)) if w not in g.targets]
+        ctrl_wires = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True)) if pool else []
+        controls = tuple((w, draw(st.integers(0, dims[w] - 1))) for w in ctrl_wires)
+        ir.extend(c, [ir.Gate(g.kind, g.targets, g.params, controls)])
+    return c
+
+
+@st.composite
+def circuit_and_state(draw):
+    c = draw(circuits())
+    return c, tuple(draw(st.integers(0, d - 1)) for d in c.dims)
+
+
+@st.composite
+def circuit_and_batch(draw):
+    """A circuit and a batch: empty, one row, row counts on both sides of the
+    64-row word, and one past the 1024-row unpacking chunk.  Digits stay below
+    ``high`` so the gates, not the inputs, often set the largest digit."""
+    c = draw(circuits())
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 129, 1089]))
+    high = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return c, rng.integers(0, np.minimum(c.dims, high), size=(n, c.width))
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,6 +181,27 @@ def test_property_batch_and_statevector_agree(cs):
     assert tuple(batch[0]) == out.digits
     v = oracle.run_statevector(c, oracle.statevector_from_basis(s))
     assert v.amps[oracle.state_index(out.digits, c.dims)] == pytest.approx(1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit_and_batch())
+def test_property_batch_matches_scalar_steps(cb):
+    c, states = cb
+    steps = [ir.extend(ir.new_circuit(c.wires), [g]) for g in c.gates]
+    want, want_max = [], 0
+    for digits in states.tolist():
+        s = sim.basis_state(c, digits)
+        want_max = max(want_max, *s.digits)
+        for step in steps:
+            s = sim.run(step, s)
+            want_max = max(want_max, *s.digits)
+        want.append(s.digits)
+    out, max_digit = sim.run_batch(c, states, track_max=True)
+    assert out.dtype == np.int64 and out.shape == states.shape
+    assert [tuple(row) for row in out.tolist()] == want
+    assert max_digit == want_max
+    untracked, zero = sim.run_batch(c, states)
+    assert (untracked == out).all() and zero == 0
 
 
 @pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
