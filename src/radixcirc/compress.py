@@ -90,7 +90,7 @@ def build_compress_231() -> Circuit:
 
 def build_compress_241() -> Circuit:
     """The 2-4-1 group compressor on binary-input ququart A and qubit B."""
-    circ = ir.new_circuit([Wire(0, "A", 4), Wire(1, "B", 2)], input_bounds=(2, 2))
+    circ = ir.new_circuit([Wire("A", 4), Wire("B", 2)], input_bounds=(2, 2))
     return ir.extend(circ, gates_compress_241(0, 1))
 
 

@@ -1,9 +1,11 @@
 """Mixed-radix reversible circuit IR.
 
-A circuit is an ordered list of gates over dimensioned wires.  Gates are
+A circuit is an ordered list of gates over wires; a wire is a name and a dim
+of at most ``MAX_DIM``, and its index is its position.  Gates are
 classical-reversible primitives: flips (exchange two digit values),
 increments (add k modulo the wire dimension) and swaps, each optionally
 conditioned on up to two control wires holding specific digit values.
+``image`` alone defines what a flip or increment does to a digit.
 
 Circuits are treated as immutable once built; every function here is pure
 except ``extend``, which validates gates and appends them to the circuit it
@@ -11,6 +13,7 @@ was given during construction and returns it for chaining.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -22,6 +25,8 @@ SWAP = "swap"
 
 _KINDS = (FLIP, INCR, SWAP)
 
+MAX_DIM = 64  # the largest wire dim: a gate's ``image`` is a table of dim digits
+
 
 class CircuitError(ValueError):
     """Raised when a wire, gate or circuit invariant is violated."""
@@ -31,13 +36,12 @@ class CircuitError(ValueError):
 class Wire:
     """A device line with capacity ``dim`` (the number of usable levels)."""
 
-    id: int
     name: str
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise CircuitError(f"wire {self.name!r}: dim must be >= 2, got {self.dim}")
+        if not 2 <= self.dim <= MAX_DIM:
+            raise CircuitError(f"wire {self.name!r}: dim must be in [2, {MAX_DIM}], got {self.dim}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +112,15 @@ def ccx(c0: int, c1: int, target: int) -> Gate:
     return flip(target, 0, 1, ((c0, 1), (c1, 1)))
 
 
+@functools.lru_cache(maxsize=1024)
+def image(kind: str, params: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    """The digit each of 0..dim-1 becomes under a flip or increment on a wire of ``dim``."""
+    if kind == INCR:
+        return tuple((v + params[0]) % dim for v in range(dim))
+    i, j = params
+    return tuple(j if v == i else i if v == j else v for v in range(dim))
+
+
 @dataclass
 class Circuit:
     """Ordered gates over a fixed wire list.
@@ -123,9 +136,6 @@ class Circuit:
     input_bounds: tuple[int, ...] = ()
 
     def __post_init__(self):
-        ids = [w.id for w in self.wires]
-        if ids != list(range(len(self.wires))):
-            raise CircuitError(f"wire ids must be contiguous from 0, got {ids}")
         if not self.input_bounds:
             self.input_bounds = tuple(w.dim for w in self.wires)
         if len(self.input_bounds) != len(self.wires):
@@ -153,20 +163,17 @@ class Circuit:
             d = wires[w].dim
             if not 0 <= v < d:
                 raise CircuitError(f"control value {v} out of range for wire {w} (dim {d})")
+        d = wires[g.targets[0]].dim
         if g.kind == FLIP:
             i, j = g.params
-            d = wires[g.targets[0]].dim
             if i == j or not (0 <= i < d and 0 <= j < d):
                 raise CircuitError(f"flip({i},{j}) invalid on wire of dim {d}")
         elif g.kind == INCR:
             (k,) = g.params
-            d = wires[g.targets[0]].dim
             if not 0 < k < d:
                 raise CircuitError(f"incr({k}) invalid on wire of dim {d}")
-        else:  # SWAP
-            d0, d1 = wires[g.targets[0]].dim, wires[g.targets[1]].dim
-            if d0 != d1:
-                raise CircuitError(f"swap requires equal dims, got {d0} and {d1}")
+        elif d != wires[g.targets[1]].dim:  # SWAP
+            raise CircuitError(f"swap requires equal dims, got {d} and {wires[g.targets[1]].dim}")
 
 
 def new_circuit(wires: Sequence[Wire], input_bounds: Sequence[int] = ()) -> Circuit:
@@ -175,7 +182,7 @@ def new_circuit(wires: Sequence[Wire], input_bounds: Sequence[int] = ()) -> Circ
 
 def binary_wires(names: Sequence[str], dim: int = 2) -> list[Wire]:
     """Wires with binary input interface on capacity-``dim`` devices."""
-    return [Wire(i, n, dim) for i, n in enumerate(names)]
+    return [Wire(n, dim) for n in names]
 
 
 def extend(c: Circuit, gates: Iterable[Gate]) -> Circuit:
@@ -192,17 +199,24 @@ def invert_gates(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
             for g in reversed(gates)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _undoes(kind: str, params: tuple[int, ...], then: str, then_params: tuple[int, ...], dim: int) -> bool:
+    """Whether a flip or increment followed by another maps every digit back to itself."""
+    after = image(then, then_params, dim)
+    return all(after[v] == u for u, v in enumerate(image(kind, params, dim)))
+
+
 def cancel_inverses(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
     """The gates with every adjacent inverse pair removed, in one linear pass.
 
     Each wire keeps a stack of the kept gates on it.  A gate g and the kept
-    gate h cancel when h is on top of every wire g touches and g undoes h:
-    the same kind, targets and controls, equal params for a flip or swap, and
-    increments that sum to the target's dim.  Removing h exposes the gates
-    under it, so cancellations cascade, and the output has no adjacent
-    inverse pair left: a gate on top of a stack is only ever removed by its
-    own partner, so a gate kept above another on a wire stays between it and
-    any later gate there.
+    gate h cancel when they have the same targets and controls, h is on top
+    of every wire g touches, and g undoes h: g is a swap (equal targets make
+    h one too), or h's ``image`` followed by g's composes to the identity.
+    Removing h exposes the gates under it, so cancellations cascade, and the
+    output has no adjacent inverse pair left: a gate on top of a stack is
+    only ever removed by its own partner, so a gate kept above another on a
+    wire stays between it and any later gate there.
     """
     kept: list[Gate | None] = []
     stacks: list[list[int]] = [[] for _ in dims]
@@ -212,10 +226,9 @@ def cancel_inverses(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
         if top:
             i = top[-1]
             h = kept[i]
-            if (h.targets == g.targets and h.controls == g.controls and h.kind == g.kind
+            if (h.targets == g.targets and h.controls == g.controls
                     and all(stacks[w][-1] == i for w in wires[1:])
-                    and (h.params[0] + g.params[0] == dims[g.targets[0]] if g.kind == INCR
-                         else h.params == g.params)):
+                    and (g.kind == SWAP or _undoes(h.kind, h.params, g.kind, g.params, dims[g.targets[0]]))):
                 kept[i] = None
                 for w in wires:
                     stacks[w].pop()
@@ -258,7 +271,7 @@ def circuit_from_dict(d: dict) -> Circuit:
     for i, w in enumerate(d["wires"]):
         if type(w) is not dict or type(w.get("name")) is not str or type(w.get("dim")) is not int:
             raise CircuitError(f"wire {i} must be an object with a string name and an int dim, got {w!r}")
-        wires.append(Wire(i, w["name"], w["dim"]))
+        wires.append(Wire(w["name"], w["dim"]))
     c = new_circuit(wires)
     shared: dict[tuple, Gate] = {}
     for g in d["gates"]:

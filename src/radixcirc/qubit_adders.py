@@ -98,7 +98,7 @@ class AdderWiring:
         """
         names = self.names()
         carries = (self.carry_in, self.carry_out)
-        wires = [Wire(i, names[i], 2 if i in carries else dim) for i in range(self.width)]
+        wires = [Wire(names[i], 2 if i in carries else dim) for i in range(self.width)]
         return ir.new_circuit(wires, input_bounds=(2,) * len(wires))
 
     def encode(self, a: int, b: int, cin: int = 0) -> list[int]:

@@ -1,6 +1,7 @@
 """Basis-state simulation.  Every circuit here is classical-reversible, so a run
 tracks one digit per wire: ``run`` for a single basis state, and ``run_batch``
-for many at once, for verification sweeps.
+for many at once, for verification sweeps.  Both read what a flip or increment
+does to a digit from ``ir.image``.
 
 ``run_batch`` is bit-sliced (Biham, FSE 1997).  A wire of dimension d holds
 its digit in ceil(log2 d) bits; every wire is packed once into as many
@@ -32,12 +33,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .ir import FLIP, INCR, SWAP, Circuit, Gate
+from .ir import SWAP, Circuit, image
 
 
 @dataclass(frozen=True)
 class BasisState:
-    """One digit per wire, each below the wire's dimension."""
+    """One integer digit per wire, each below the wire's dimension."""
 
     digits: tuple[int, ...]
     dims: tuple[int, ...]
@@ -46,46 +47,32 @@ class BasisState:
         if len(self.digits) != len(self.dims):
             raise ValueError("digit count must match wire count")
         for d, dim in zip(self.digits, self.dims):
-            if not 0 <= d < dim:
-                raise ValueError(f"digit {d} out of range for dim {dim}")
+            if not isinstance(d, (int, np.integer)) or not 0 <= d < dim:
+                raise ValueError(f"digit {d!r} is not an integer in [0, {dim})")
 
 
 def basis_state(circuit: Circuit, digits: Iterable[int]) -> BasisState:
     return BasisState(tuple(digits), circuit.dims)
 
 
-def _permute_digit(g: Gate, value: int, dim: int) -> int:
-    if g.kind == FLIP:
-        i, j = g.params
-        if value == i:
-            return j
-        if value == j:
-            return i
-        return value
-    # INCR
-    return (value + g.params[0]) % dim
-
-
-def _apply(digits: list[int], dims: tuple[int, ...], g: Gate) -> None:
-    """Apply one gate to a mutable digit list; identity unless every control matches."""
-    for w, v in g.controls:
-        if digits[w] != v:
-            return
-    if g.kind == SWAP:
-        t0, t1 = g.targets
-        digits[t0], digits[t1] = digits[t1], digits[t0]
-    else:
-        t = g.targets[0]
-        digits[t] = _permute_digit(g, digits[t], dims[t])
-
-
 def run(c: Circuit, s: BasisState) -> BasisState:
+    """The state after ``c``: each gate whose controls hold swaps or maps its targets by ``ir.image``."""
     if s.dims != c.dims:
         raise ValueError("state dims do not match circuit wires")
+    dims = s.dims
     digits = list(s.digits)
     for g in c.gates:
-        _apply(digits, s.dims, g)
-    return BasisState(tuple(digits), s.dims)
+        for w, v in g.controls:
+            if digits[w] != v:
+                break
+        else:
+            if g.kind == SWAP:
+                t0, t1 = g.targets
+                digits[t0], digits[t1] = digits[t1], digits[t0]
+            else:
+                t = g.targets[0]
+                digits[t] = image(g.kind, g.params, dims[t])[digits[t]]
+    return BasisState(tuple(digits), dims)
 
 
 # Rows are packed and unpacked this many at a time (a multiple of 64), so no
@@ -126,20 +113,20 @@ def _eq_cube(v: int, dim: int) -> Cube:
 def _lowering(kind: str, params: tuple[int, ...], dim: int):
     """A flip or increment on a wire of ``dim`` as XORs into its planes.
 
-    Returns ``(groups, moved)``.  Plane b toggles on the digits whose image
-    differs from them in bit b; planes that toggle on the same digits share a
+    Returns ``(groups, moved)``.  Plane b toggles on the digits whose
+    ``ir.image`` differs from them in bit b; planes that toggle on the same digits share a
     group ``(cubes, bits)``, whose ``cubes`` cover those digits.  ``moved``
     pairs each digit the gate changes with its ``_eq_cube``; they are the only
     digits the gate can bring onto the wire.
     """
-    image = [_permute_digit(Gate(kind, (0,), params), v, dim) for v in range(dim)]
+    to = image(kind, params, dim)
     toggles: dict[frozenset[int], list[int]] = {}
     for b in range((dim - 1).bit_length()):
-        flipped = frozenset(v for v in range(dim) if (v ^ image[v]) >> b & 1)
+        flipped = frozenset(v for v in range(dim) if (v ^ to[v]) >> b & 1)
         if flipped:
             toggles.setdefault(flipped, []).append(b)
     groups = tuple((_cover(s, dim), tuple(bits)) for s, bits in toggles.items())
-    moved = tuple((v, _eq_cube(v, dim)) for v in range(dim) if image[v] != v)
+    moved = tuple((v, _eq_cube(v, dim)) for v in range(dim) if to[v] != v)
     return groups, moved
 
 

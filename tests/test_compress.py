@@ -99,7 +99,7 @@ def test_layout_block_grouping():
 def test_block_compress_restores_on_inverse():
     layout = cmp.layout_block(list(range(6)), cmp.SCHEME_231)
     assert layout.ancilla == (2, 5)
-    circ = ir.new_circuit([ir.Wire(i, f"q{i}", 3) for i in range(6)], input_bounds=(2,) * 6)
+    circ = ir.new_circuit([ir.Wire(f"q{i}", 3) for i in range(6)], input_bounds=(2,) * 6)
     ir.extend(circ, cmp.block_gates(cmp.SCHEME_231, layout))
     both = oracle.forward_then_inverse(circ)
     for s in oracle.interface_states(circ):

@@ -17,12 +17,19 @@ import oracle
 
 
 def three_wires():
-    return [Wire(0, "a", 2), Wire(1, "b", 3), Wire(2, "c", 4)]
+    return [Wire("a", 2), Wire("b", 3), Wire("c", 4)]
 
 
 def test_wire_rejects_dim_below_two():
     with pytest.raises(CircuitError):
-        Wire(0, "w", 1)
+        Wire("w", 1)
+
+
+def test_wire_rejects_dim_above_max_dim():
+    assert Wire("w", ir.MAX_DIM).dim == ir.MAX_DIM
+    for dim in (ir.MAX_DIM + 1, 10 ** 9):
+        with pytest.raises(CircuitError, match="dim must be in"):
+            Wire("w", dim)
 
 
 def test_gate_shape_validation():
@@ -64,11 +71,6 @@ def test_extend_validates_against_dims():
     assert len(c.gates) == 1
 
 
-def test_wire_ids_must_be_contiguous():
-    with pytest.raises(CircuitError):
-        Circuit((Wire(1, "a", 2),))
-
-
 def test_input_bounds_default_and_validation():
     c = ir.new_circuit(three_wires())
     assert c.input_bounds == (2, 3, 4)
@@ -86,6 +88,19 @@ def test_inverse_reverses_and_negates_increments():
     inv = ir.invert_gates(c.gates, c.dims)
     kinds = [(g.kind, g.params) for g in inv]
     assert kinds == [("incr", (3,)), ("flip", (1, 3)), ("incr", (1,))]
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_image_matches_reference_and_inverts(dim):
+    # every valid flip (i != j) and increment (0 < k < dim)
+    flips = [ir.flip(0, i, j) for i in range(dim) for j in range(dim) if i != j]
+    for g in flips + [ir.incr(0, k) for k in range(1, dim)]:
+        to = ir.image(g.kind, g.params, dim)
+        assert to == tuple(oracle._digit_map(g, dim)), g
+        assert sorted(to) == list(range(dim)), g
+        (inv,) = ir.invert_gates([g], (dim,))
+        back = ir.image(inv.kind, inv.params, dim)
+        assert [back[v] for v in to] == list(range(dim)), g
 
 
 def test_depth_counts_controls_as_occupancy():
@@ -164,7 +179,7 @@ def small_circuits():
     yield "compress231", cmp.build_compress_231()
     yield "compress241", cmp.build_compress_241()
     yield "empty", ir.new_circuit([])
-    odd = ir.new_circuit([Wire(0, 'q"uote\nline\u00e9\u2603\\', 3), Wire(1, "", 3)])
+    odd = ir.new_circuit([Wire('q"uote\nline\u00e9\u2603\\', 3), Wire("", 3)])
     yield "odd-names", ir.extend(odd, [ir.swap(0, 1), ir.incr(0, 2, [(1, 1)])])
 
 
@@ -182,7 +197,7 @@ def test_dumps_matches_stdlib_encoder(circ):
 def valid_circuits(draw):
     dims = draw(st.lists(st.integers(2, 4), min_size=0, max_size=5))
     names = draw(st.lists(st.text(max_size=4), min_size=len(dims), max_size=len(dims)))
-    c = ir.new_circuit([Wire(i, nm, d) for i, (nm, d) in enumerate(zip(names, dims))])
+    c = ir.new_circuit([Wire(nm, d) for nm, d in zip(names, dims)])
     if not dims:
         return c
     for _ in range(draw(st.integers(0, 12))):
@@ -333,6 +348,10 @@ def test_cancel_inverses_matches_kind_params_and_controls():
     assert net([ir.swap(0, 1), ir.swap(0, 1)], dims) == []
     assert net([ir.swap(0, 1, [(2, 1)]), ir.swap(0, 1, [(2, 1)])], dims) == []
     assert net([ir.flip(0, 1, 2, [(2, 0)]), ir.flip(0, 1, 2, [(2, 0)])], dims) == []
+    # different params or kinds whose images compose to the identity
+    assert net([ir.flip(0, 0, 1), ir.flip(0, 1, 0)], dims) == []
+    assert net([ir.incr(0, 1), ir.x(0)], (2,)) == []
+    assert net([ir.incr(0, 2), ir.incr(0, 2)], (4,)) == []
     for gates in (
         [ir.swap(0, 1, [(2, 1)]), ir.swap(0, 1, [(2, 2)])],
         [ir.flip(0, 0, 1), ir.flip(0, 1, 2)],
@@ -340,22 +359,26 @@ def test_cancel_inverses_matches_kind_params_and_controls():
         [ir.cx(1, 0), ir.x(0)],
     ):
         assert net(gates, dims) == gates
+    assert net([ir.incr(0, 1), ir.x(0)], (3,)) == [ir.incr(0, 1), ir.x(0)]
 
 
 def adjacent_inverse_pairs(gates, dims):
     """Brute force: the (i, j) with gate i the last before gate j on every wire gate j
-    touches, and the two gates equal (flip, swap) or increments summing to the dim."""
+    touches, the same targets and controls, and either two swaps or digit maps that
+    compose to the identity under the reference ``oracle._digit_map``."""
     pairs = []
     for j, g in enumerate(gates):
         last = {max((i for i in range(j) if w in gates[i].wires()), default=None) for w in g.wires()}
         if len(last) == 1 and None not in last:
             (i,) = last
             h = gates[i]
-            if g.kind == ir.INCR:
-                undoes = (h.kind, h.targets, h.controls) == (g.kind, g.targets, g.controls) and \
-                    h.params[0] + g.params[0] == dims[g.targets[0]]
+            if (h.targets, h.controls) != (g.targets, g.controls):
+                continue
+            if g.kind == ir.SWAP:
+                undoes = h.kind == ir.SWAP
             else:
-                undoes = h == g
+                d = dims[g.targets[0]]
+                undoes = (oracle._digit_map(g, d)[oracle._digit_map(h, d)] == np.arange(d)).all()
             if undoes:
                 pairs.append((i, j))
     return pairs

@@ -12,7 +12,7 @@ def test_empty_circuit_reports_zeros():
 
 
 def test_report_buckets_by_arity_and_dim():
-    wires = [Wire(0, "a", 2), Wire(1, "b", 3), Wire(2, "c", 4)]
+    wires = [Wire("a", 2), Wire("b", 3), Wire("c", 4)]
     c = ir.new_circuit(wires)
     ir.extend(c, [
         ir.x(0),                          # arity 1, dim 2

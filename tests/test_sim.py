@@ -13,7 +13,7 @@ import oracle
 
 
 def mixed_circuit():
-    wires = [Wire(0, "a", 2), Wire(1, "b", 3), Wire(2, "c", 4)]
+    wires = [Wire("a", 2), Wire("b", 3), Wire("c", 4)]
     c = ir.new_circuit(wires)
     ir.extend(c, [
         ir.incr(1, 1, [(0, 1)]),
@@ -30,8 +30,13 @@ def test_basis_state_validation():
         sim.basis_state(c, [0, 3, 0])
     with pytest.raises(ValueError):
         sim.basis_state(c, [0, 0])
+    for digit in (1.0, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            sim.basis_state(c, [0, digit, 0])
     s = sim.basis_state(c, [1, 2, 3])
     assert s.digits == (1, 2, 3)
+    # numpy integers are digits
+    assert sim.run(c, sim.basis_state(c, np.array([1, 1, 0]))).digits == (1, 2, 1)
 
 
 def run_one_gate(gate, digits):
@@ -52,7 +57,7 @@ def test_increment_wraps_modulo_dim():
 
 
 def test_swap_gate():
-    wires = [Wire(0, "a", 3), Wire(1, "b", 3)]
+    wires = [Wire("a", 3), Wire("b", 3)]
     c = ir.new_circuit(wires)
     ir.extend(c, [ir.swap(0, 1)])
     assert sim.run(c, sim.basis_state(c, [2, 1])).digits == (1, 2)
@@ -66,7 +71,7 @@ def test_run_is_permutation_on_full_space():
 
 
 def test_interface_states_honor_bounds():
-    wires = [Wire(0, "a", 3), Wire(1, "b", 3)]
+    wires = [Wire("a", 3), Wire("b", 3)]
     c = ir.new_circuit(wires, input_bounds=(2, 2))
     assert len(list(oracle.interface_states(c))) == 4
     assert len(list(oracle.all_basis_states(c))) == 9
@@ -90,7 +95,7 @@ def test_run_batch_matches_scalar_run():
 ])
 def test_run_batch_rejects_digits_outside_dim(row):
     # Wire 3 (dim 2) is untouched by the gates of mixed_circuit.
-    c = ir.extend(ir.new_circuit(mixed_circuit().wires + (Wire(3, "d", 2),)), mixed_circuit().gates)
+    c = ir.extend(ir.new_circuit(mixed_circuit().wires + (Wire("d", 2),)), mixed_circuit().gates)
     states = np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]])
     with pytest.raises(ValueError, match="outside"):
         sim.run_batch(c, states)
@@ -111,7 +116,7 @@ def test_statevector_preserves_norm_on_superposition():
 
 
 def test_statevector_cap():
-    wires = [Wire(i, f"q{i}", 4) for i in range(11)]  # 4^11 > 2^20
+    wires = [Wire(f"q{i}", 4) for i in range(11)]  # 4^11 > 2^20
     c = ir.new_circuit(wires)
     with pytest.raises(ValueError):
         oracle.run_statevector(c, oracle.Statevector(np.zeros(4 ** 11, dtype=complex), c.dims))
@@ -123,7 +128,7 @@ def circuits(draw):
     codes 5-7 unused): flips, increments, swaps between equal-dim wires, each
     with 0-2 controls on any digit value."""
     dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
-    wires = [Wire(i, f"q{i}", d) for i, d in enumerate(dims)]
+    wires = [Wire(f"q{i}", d) for i, d in enumerate(dims)]
     c = ir.new_circuit(wires)
     for _ in range(draw(st.integers(0, 8))):
         t = draw(st.integers(0, len(dims) - 1))
