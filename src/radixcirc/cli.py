@@ -5,11 +5,15 @@ finds a counterexample, 2 on usage errors or an infeasible build request,
 141 when the reader of standard output closes it early.
 
 Sampling uses numpy's default PCG64 generator so a (seed, samples) pair
-reproduces the exact same verification run.
+reproduces the exact same verification run.  Each input wire's bits are drawn
+as whole 64-row words, so a seed selects other rows than the earlier
+row-by-row sampler did; ``--exhaustive`` rows are the same as ever.
 """
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -108,40 +112,50 @@ def build_kind(args) -> tuple[Circuit, AdderWiring | None]:
 
 # --- oracles ---------------------------------------------------------------
 
-def _binary_inputs(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> np.ndarray:
-    """Input matrix with binary values in columns ``cols`` and zeros elsewhere."""
+def _input_planes(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> sim.Planes:
+    """Binary inputs on wires ``cols``, one plane each, and 0 on every other wire.  Row i of
+    the exhaustive sweep holds the bits of i, most significant first (``itertools.product``
+    order); sampled, each input wire's words are drawn in turn from PCG64 with ``seed``."""
     free = len(cols)
     if exhaustive:
         _require(free <= 20, f"exhaustive sweep over 2^{free} inputs exceeds {EXHAUSTIVE_LIMIT}")
-        # Row i holds the bits of i, most significant first: itertools.product((0, 1), repeat=free) order.
-        rows = (np.arange(1 << free)[:, None] >> np.arange(free - 1, -1, -1)) & 1
+        n, word = 1 << free, np.arange(-(-(1 << free) // 64), dtype=np.uint64)
+        # Index bit t of row 64 * word + r is bit t of r below 6, and bit t - 6 of word above.
+        bits = [np.full(len(word), sum(1 << r for r in range(64) if r >> t & 1), np.uint64) if t < 6
+                else (word >> np.uint64(t - 6) & np.uint64(1)) * ~np.uint64(0) for t in reversed(range(free))]
     else:
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, 2, size=(samples, free), dtype=np.int64)
-    ins = np.zeros((rows.shape[0], width), dtype=np.int64)
-    ins[:, cols] = rows
-    return ins
+        n = samples
+        bits = np.random.default_rng(seed).integers(0, ~np.uint64(0), (free, -(-n // 64)), np.uint64, endpoint=True)
+    bits = np.asarray(bits)
+    bits &= sim.row_mask(n)
+    plane = dict(zip(cols, bits))
+    return sim.Planes([[plane[w]] if w in plane else [] for w in range(width)], n)
 
 
-def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: np.ndarray) -> np.ndarray:
-    """Independent oracle for each circuit kind: the compressors' truth tables, and for
-    an adder a ripple-carry over the layout's bit columns (A, or the constant ``k``
-    when the layout has no A), not the circuits' carry-lookahead.  A and every wire
-    outside B and the carry-out keep their input values, so the ancilla come back 0."""
+def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: sim.Planes) -> sim.Planes:
+    """Independent oracle for each circuit kind on binary input planes: a compressor's truth
+    table as an OR of input-literal cubes per output plane, and for an adder a ripple-carry on
+    words over the layout's bit columns (A, or the constant ``k`` when the layout has no A), not
+    the circuits' carry-lookahead.  Wires outside B and the carry-out keep their input planes."""
+    bit = [planes[0] if planes else None for planes in ins.wires]
     if layout is None:
         table = TABLE_231 if kind == "compress231" else TABLE_241
-        return np.array([table[tuple(int(d) for d in row)] for row in ins], dtype=np.int64)
+        cube = {row: functools.reduce(np.bitwise_and, [x if v else ~x for x, v in zip(bit, row)]) for row in table}
+        zero = np.zeros_like(bit[0])
+        # Plane b of wire w: the rows whose output digit on w has bit b set; digits are below 4.
+        return sim.Planes([[functools.reduce(np.bitwise_or, [cube[row] for row in table if table[row][w] >> b & 1], zero)
+                            for b in (0, 1)] for w in range(len(bit))], ins.n)
 
-    exp = ins.copy()
-    carry = ins[:, layout.carry_in] if layout.carry_in is not None else 0
+    exp = list(ins.wires)
+    carry = bit[layout.carry_in] if layout.carry_in is not None else np.uint64(0)
     for i, col in enumerate(layout.b):
-        a = ins[:, layout.a[i]] if layout.a else (k >> i) & 1
-        b = ins[:, col]
-        exp[:, col] = a ^ b ^ carry
+        a = bit[layout.a[i]] if layout.a else ~np.uint64(0) * np.uint64(k >> i & 1)
+        b = bit[col]
+        exp[col] = [a ^ b ^ carry]
         carry = (a & b) | (carry & (a ^ b))
     if layout.carry_out is not None:
-        exp[:, layout.carry_out] = carry
-    return exp
+        exp[layout.carry_out] = [carry]
+    return sim.Planes(exp, ins.n)
 
 
 def run_verify(args) -> int:
@@ -153,18 +167,21 @@ def run_verify(args) -> int:
         _require(circ.dims == built_circ.dims, "circuit file wire dims do not match kind flags")
 
     cols = list(range(circ.width)) if layout is None else layout.inputs
-    ins = _binary_inputs(circ.width, cols, args.exhaustive, args.samples, args.seed)
+    ins = _input_planes(circ.width, cols, args.exhaustive, args.samples, args.seed)
     exp = expected_outputs(kind, args.k, layout, ins)
     out, _ = sim.run_batch(circ, ins)
-    bad = np.nonzero((out != exp).any(axis=1))[0]
-    if bad.size:
-        i = int(bad[0])
+    # Rows where any plane differs; a wire's unlisted planes are 0.
+    diff = sim.row_mask(len(ins)) & functools.reduce(np.bitwise_or, (
+        g ^ e for got, want in zip(out.wires, exp.wires) for g, e in itertools.zip_longest(got, want, fillvalue=0)), 0)
+    if diff.any():
+        word = int(np.flatnonzero(diff)[0])
+        r = 64 * word + (int(diff[word]) & -int(diff[word])).bit_length() - 1
         print(
-            f"FAIL {kind}: input={','.join(map(str, ins[i]))} "
-            f"expected={','.join(map(str, exp[i]))} got={','.join(map(str, out[i]))}"
+            f"FAIL {kind}: input={','.join(map(str, ins.row(r)))} "
+            f"expected={','.join(map(str, exp.row(r)))} got={','.join(map(str, out.row(r)))}"
         )
         return EXIT_COUNTEREXAMPLE
-    print(f"PASS {kind}: {ins.shape[0]} cases")
+    print(f"PASS {kind}: {len(ins)} cases")
     return EXIT_PASS
 
 

@@ -3,11 +3,12 @@ tracks one digit per wire: ``run`` for a single basis state, and ``run_batch``
 for many at once, for verification sweeps.  Both read what a flip or increment
 does to a digit from ``ir.image``.
 
-``run_batch`` is bit-sliced (Biham, FSE 1997).  A wire of dimension d holds
-its digit in ceil(log2 d) bits; every wire is packed once into as many
-planes as the widest wire needs, and a narrower wire's extra planes stay 0.
-Plane b of a wire is an array of ``uint64`` words whose bit r % 64 of word
-r // 64 is bit b of row r's digit, with the rows padded to a multiple of 64.
+``run_batch`` is bit-sliced (Biham, FSE 1997) and works on ``Planes``: a
+wire of dimension d holds its digit in ceil(log2 d) planes, and plane b is
+an array of ``uint64`` words whose bit r % 64 of word r // 64 is bit b of
+row r's digit, with the rows padded to a multiple of 64.  A dense batch is
+packed on the way in and unpacked on the way out; a ``Planes`` batch, which
+``radixcirc verify`` draws, checks and compares as such, stays packed.
 A control ``(w, v)`` is the AND of wire w's plane literals for v; codes d
 and above never occur, so literals that only exclude them are dropped (on a
 qutrit, digit 2 is plane 1 alone).  A flip or increment XORs into each plane
@@ -75,9 +76,28 @@ def run(c: Circuit, s: BasisState) -> BasisState:
     return BasisState(tuple(digits), dims)
 
 
-# Rows are packed and unpacked this many at a time (a multiple of 64), so no
-# temporary array grows with the batch: the only full-size one is the output.
-_CHUNK_ROWS = 1024
+@dataclass
+class Planes:
+    """A batch of ``n`` basis states: ``wires[w][b]`` is bit b of wire w's digits
+    as ``-(-n // 64)`` ``uint64`` words, row r at bit r % 64 of word r // 64.  A
+    plane a wire does not list is 0, and rows n and above are padding."""
+
+    wires: list[list[np.ndarray]]
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def row(self, r: int) -> list[int]:
+        """Row ``r``'s digit on each wire."""
+        word, bit = divmod(r, 64)
+        return [sum((int(p[word]) >> bit & 1) << b for b, p in enumerate(planes)) for planes in self.wires]
+
+
+def row_mask(n: int) -> np.ndarray:
+    """The words whose set bits are exactly rows 0..n-1."""
+    return np.where(np.arange(-(-n // 64)) < n // 64, ~np.uint64(0), np.uint64((1 << n % 64) - 1))
+
 
 Literal = tuple[int, bool]  # (plane index, whether the bit is set)
 Cube = tuple[Literal, ...]  # AND of literals; the empty cube is all ones
@@ -154,62 +174,67 @@ def _eval_cover(planes: list[np.ndarray], cubes: tuple[Cube, ...]) -> np.ndarray
     return acc
 
 
-def _pack(mat: np.ndarray, n_planes: int, dtype: np.dtype) -> list[list[np.ndarray]]:
-    """Each wire's planes, ``n_planes`` of them; rows past ``len(mat)`` are zero."""
-    n, width = mat.shape
-    levels = np.zeros((n_planes, width, -(-n // 64)), dtype=np.uint64)
-    for r0 in range(0, n, _CHUNK_ROWS):
-        digits = mat[r0:r0 + _CHUNK_ROWS].T.astype(dtype, order="C")
-        for b in range(n_planes):
-            packed = np.packbits(digits & (1 << b), axis=1, bitorder="little")
-            levels[b].view(np.uint8)[:, r0 // 8:r0 // 8 + packed.shape[1]] = packed
-    return [list(wire) for wire in zip(*levels)]
+def _top(planes: list[np.ndarray], valid: np.ndarray) -> int:
+    """The largest code the ``planes`` of one wire hold on a row set in ``valid``."""
+    codes = 1 << len(planes)
+    return next((v for v in reversed(range(1, codes)) if (_eval_cube(planes, _eq_cube(v, codes)) & valid).any()), 0)
 
 
-def _unpack(planes: list[list[np.ndarray]], n: int, n_planes: int, dtype: np.dtype) -> np.ndarray:
-    """The first ``n`` rows of the planes as an (n, width) int64 array."""
-    levels = [np.stack([wire[b] for wire in planes]) for b in range(n_planes)]
-    out = np.empty((n, len(planes)), dtype=np.int64)
-    for r0 in range(0, n, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n - r0)
-        digits = np.zeros((len(planes), rows), dtype=dtype)
-        for b, words in enumerate(levels):
-            chunk = words[:, r0 // 64:(r0 + rows + 63) // 64].view(np.uint8)
-            bits = np.unpackbits(chunk, axis=1, count=rows, bitorder="little").astype(dtype, copy=False)
-            bits <<= b
-            digits |= bits
-        out[r0:r0 + rows] = digits.T
-    return out
+def _pack(mat: np.ndarray, dims: tuple[int, ...]) -> list[list[np.ndarray]]:
+    """Each wire's ceil(log2 dim) planes of the rows of ``mat``; padding rows are zero."""
+    digits = np.zeros((len(dims), -(-len(mat) // 64) * 64), dtype=np.uint8)
+    digits[:, :len(mat)] = mat.T
+    return [[np.packbits(d >> b & 1, bitorder="little").view(np.uint64) for b in range((dim - 1).bit_length())]
+            for d, dim in zip(digits, dims)]
+
+
+def _unpack(p: Planes) -> np.ndarray:
+    """The rows of ``p`` as an (n, width) int64 array."""
+    digits = np.zeros((len(p.wires), p.n), dtype=np.uint8)
+    for d, planes in zip(digits, p.wires):
+        for b, words in enumerate(planes):
+            d |= np.unpackbits(words.view(np.uint8), count=p.n, bitorder="little") << b
+    return np.ascontiguousarray(digits.T, dtype=np.int64)
 
 
 def run_batch(
     c: Circuit,
-    states: np.ndarray,
+    states: np.ndarray | Planes,
     track_max: bool = False,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray | Planes, int]:
     """Run many basis states at once, 64 to a machine word.
 
-    ``states`` is an (n_states, width) integer array whose digits lie in
-    ``[0, dim)`` of their wires, else ``ValueError``; it is not modified.
-    Returns a new (n_states, width) int64 array of outputs and, when
-    ``track_max`` is set, the largest digit observed on any wire at any point
-    during execution (inputs included), else 0.
+    ``states`` is an (n_states, width) integer array, or a ``Planes`` batch
+    of width wires, whose digits lie in ``[0, dim)`` of their wires, else
+    ``ValueError``; it is not modified.  Returns the outputs in the same form
+    (a new int64 array, or a ``Planes`` with ceil(log2 dim) planes per wire)
+    and, when ``track_max`` is set, the largest digit observed on any wire at
+    any point during execution (inputs included), else 0.  Padding rows of a
+    ``Planes`` batch are neither checked nor counted.
     """
     dims = c.dims
-    mat = np.asarray(states, dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[1] != c.width:
-        raise ValueError(f"expected shape (*, {c.width}), got {mat.shape}")
+    packed = isinstance(states, Planes)
+    if packed:
+        if len(states.wires) != c.width:
+            raise ValueError(f"expected {c.width} wires, got {len(states.wires)}")
+        n = states.n
+    else:
+        mat = np.asarray(states, dtype=np.int64)
+        if mat.ndim != 2 or mat.shape[1] != c.width:
+            raise ValueError(f"expected shape (*, {c.width}), got {mat.shape}")
+        n = len(mat)
+    valid = row_mask(n)
     # A negative digit reads as a huge unsigned one, so one comparison catches both ends.
-    top = mat.view(np.uint64).max(axis=0, initial=0)
-    bad = np.flatnonzero(top >= np.array(dims, dtype=np.uint64))
-    if bad.size:
-        w = int(bad[0])
-        raise ValueError(f"wire {w} holds a digit outside [0, {dims[w]})")
-    n = mat.shape[0]
-    top_dim = max(dims, default=1)
-    n_planes, dtype = (top_dim - 1).bit_length(), np.min_scalar_type(top_dim - 1)
-    planes = _pack(mat, n_planes, dtype)
-    input_max = int(top.max(initial=0)) if track_max else 0
+    top = [_top(p, valid) for p in states.wires] if packed else mat.view(np.uint64).max(axis=0, initial=0)
+    bad = [w for w, (t, dim) in enumerate(zip(top, dims)) if t >= dim]
+    if bad:
+        raise ValueError(f"wire {bad[0]} holds a digit outside [0, {dims[bad[0]]})")
+    if packed:  # unlisted planes are zero; planes past ceil(log2 dim) are, as just checked
+        zero = np.zeros_like(valid)
+        planes = [p[:nb] + [zero] * (nb - len(p)) for p, nb in zip(states.wires, ((d - 1).bit_length() for d in dims))]
+    else:
+        planes = _pack(mat, dims)
+    input_max = int(max(top, default=0)) if track_max else 0
     seen: dict[int, np.ndarray] = {}  # digit -> rows where a gate put it on its target
     for g in c.gates:
         mask = None
@@ -238,8 +263,6 @@ def run_batch(
                 if v > input_max:
                     hit = _and(mask, _eval_cube(p, cube))
                     seen[v] = hit if v not in seen else seen[v] | hit
-    max_digit = input_max
-    if seen:
-        valid = np.packbits(np.arange(len(planes[0][0]) * 64) < n, bitorder="little").view(np.uint64)
-        max_digit = max([v for v, rows in seen.items() if (rows & valid).any()], default=input_max)
-    return _unpack(planes, n, n_planes, dtype), max_digit
+    max_digit = max([v for v, rows in seen.items() if (rows & valid).any()], default=input_max)
+    out = Planes(planes, n)
+    return (out if packed else _unpack(out)), max_digit

@@ -1,7 +1,8 @@
 """Independent test oracle: the adder contract as big-integer arithmetic
 (``adder_inputs``, ``adder_outputs``), a dense statevector simulator,
-basis-state sweeps, and the reference document ``ir.dumps`` must write
-(``circuit_to_dict``).
+basis-state sweeps, the reference document ``ir.dumps`` must write
+(``circuit_to_dict``), and conversions between dense rows and ``sim.Planes``
+(``to_planes``, ``from_planes``) written with numpy's bit packing.
 
 The statevector engine defines the gate semantics itself (``_digit_map``),
 so comparing it with ``sim.run`` and ``sim.run_batch`` compares two
@@ -19,7 +20,7 @@ import numpy as np
 from radixcirc import ir
 from radixcirc.ir import FLIP, SWAP, Circuit, Gate
 from radixcirc.qubit_adders import AdderWiring
-from radixcirc.sim import BasisState
+from radixcirc.sim import BasisState, Planes
 
 STATEVECTOR_CAP = 1 << 20
 
@@ -61,6 +62,32 @@ def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) ->
     if layout.carry_out is not None:
         exp[:, layout.carry_out] = total >> len(layout.b)
     return exp
+
+
+def to_planes(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Planes:
+    """Dense (n, width) digits as ``Planes``, ceil(log2 dim) planes per wire, with
+    every padding bit set to ``padding``."""
+    states = np.asarray(states)
+    n = len(states)
+    bits = np.full(-(-n // 64) * 64, padding, dtype=np.uint8)
+    wires = []
+    for w, dim in enumerate(dims):
+        planes = []
+        for b in range((dim - 1).bit_length()):
+            bits[:n] = states[:, w] >> b & 1
+            planes.append(np.packbits(bits, bitorder="little").view(np.uint64))
+        wires.append(planes)
+    return Planes(wires, n)
+
+
+def from_planes(p: Planes, dtype=np.int64) -> np.ndarray:
+    """The (n, width) digits of the first ``p.n`` rows of ``p``."""
+    out = np.zeros((p.n, len(p.wires)), dtype=dtype)
+    for w, planes in enumerate(p.wires):
+        for b, words in enumerate(planes):
+            bits = np.unpackbits(np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8), bitorder="little")
+            out[:, w] |= bits[:p.n].astype(dtype) << b
+    return out
 
 
 def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Iterator[BasisState]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from radixcirc import block_builder as bb
-from radixcirc import cli
+from radixcirc import cli, ir, sim
 
 import oracle
 
@@ -79,15 +80,25 @@ def test_verify_exhaustive_compress(capsys):
     assert run_cli("verify", "--kind", "compress241", "--exhaustive") == 0
 
 
-@pytest.mark.parametrize("free", range(1, 13))
+@pytest.mark.parametrize("free", [*range(1, 13), 20])
 def test_exhaustive_rows_are_itertools_product_order(free):
     width = free + 2
     cols = list(range(1, free + 1))
-    ins = cli._binary_inputs(width, cols, True, 0, 0)
-    want = np.zeros((1 << free, width), dtype=np.int64)
-    want[:, cols] = list(itertools.product((0, 1), repeat=free))
-    assert ins.dtype == np.int64 and ins.shape == want.shape
-    assert (ins == want).all()
+    ins = cli._input_planes(width, cols, True, 0, 0)
+    rows = itertools.chain.from_iterable(itertools.product((0, 1), repeat=free))
+    want = np.zeros((1 << free, width), dtype=np.uint8)
+    want[:, cols] = np.fromiter(rows, dtype=np.uint8, count=free << free).reshape(-1, free)
+    assert len(ins) == 1 << free and ins.wires[0] == ins.wires[-1] == []
+    assert (oracle.from_planes(ins, np.uint8) == want).all()
+    assert all((planes[0] & ~sim.row_mask(len(ins)) == 0).all() for planes in ins.wires[1:-1])
+
+
+def test_sampled_rows_are_seeded_words():
+    ins = cli._input_planes(5, [0, 2, 4], False, 130, 9)
+    words = np.random.default_rng(9).integers(0, ~np.uint64(0), (3, 3), np.uint64, endpoint=True)
+    assert len(ins) == 130 and ins.wires[1] == ins.wires[3] == []
+    for w, drawn in zip([0, 2, 4], words):
+        assert (ins.wires[w][0] == drawn & sim.row_mask(130)).all()
 
 
 CARRIES = [(False, False), (False, True), (True, False), (True, True)]
@@ -130,6 +141,12 @@ def test_verify_sampled_block(capsys):
     assert "PASS block-adder: 40 cases" in capsys.readouterr().out
 
 
+def _fail_row(out: str) -> dict[str, list[int]]:
+    """The input, expected and got fields of a FAIL line."""
+    fields = out.split(": ", 1)[1].split()
+    return {k: [int(d) for d in v.split(",")] for k, v in (f.split("=") for f in fields)}
+
+
 def test_verify_corrupted_circuit_exits_1(tmp_path, capsys):
     out = tmp_path / "c.json"
     run_cli("build", "--kind", "compress241", "--out", str(out))
@@ -138,7 +155,51 @@ def test_verify_corrupted_circuit_exits_1(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     rc = run_cli("verify", "--kind", "compress241", "--exhaustive", "--circuit", str(out))
     assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
+    fail = _fail_row(capsys.readouterr().out)
+    circ = ir.loads(out.read_text())
+    assert fail["expected"] == list(cli.TABLE_241[tuple(fail["input"])])
+    assert fail["got"] == list(sim.run(circ, sim.basis_state(circ, fail["input"])).digits)
+
+    # An adder with one gate deleted first fails on row 257 of 512 (word 4, bit 1):
+    # the row printed is that one, with the big-integer oracle's and the scalar run's outputs.
+    flags = ["--kind", "cla-adder", "--n", "4", "--carry-in", "--carry-out"]
+    run_cli("build", *flags, "--out", str(out))
+    doc = json.loads(out.read_text())
+    del doc["gates"][33]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", *flags, "--exhaustive", "--circuit", str(out)) == 1
+    fail = _fail_row(capsys.readouterr().out)
+    _, layout = cli.build_kind(cli.make_parser().parse_args(["build", *flags]))
+    circ = ir.loads(out.read_text())
+    ins = oracle.adder_inputs(layout, circ.width)
+    got = np.array([sim.run(circ, sim.basis_state(circ, row)).digits for row in ins.tolist()])
+    first = np.flatnonzero((got != oracle.adder_outputs(layout, ins)).any(axis=1))[0]
+    assert first == 257 and fail["input"] == ins[first].tolist()
+    assert fail["expected"] == oracle.adder_outputs(layout, ins[first:first + 1])[0].tolist()
+    assert fail["got"] == got[first].tolist()
+
+
+def test_verify_never_compares_padding_rows(tmp_path, capsys):
+    # Wires 0-23 (A and B) are ququarts and cin, cout qubits.  The chain marks
+    # wire k < 24 with 2 exactly when wires 0..k are all 0; one more gate turns
+    # the last mark into 3 when cin and cout are 0 too, and the chain is undone.
+    # So the circuit is wrong only on the all-zero input, which padding rows hold.
+    flags = ["--kind", "block-adder", "--n", "12", "--scheme", "241", "--carry-in", "--carry-out"]
+    circ, layout = cli.build_kind(cli.make_parser().parse_args(["build", *flags]))
+    chain = [ir.flip(1, 0, 2, [(0, 0)])] + [ir.flip(w, 0, 2, [(w - 1, 2)]) for w in range(2, 24)]
+    bug = ir.flip(23, 2, 3, [(24, 0), (25, 0)])
+    circ = ir.extend(ir.new_circuit(circ.wires), [*circ.gates, *chain, bug, *chain[::-1]])
+    zero = sim.basis_state(circ, [0] * circ.width)
+    assert sim.run(circ, zero).digits[23] == 3
+    path = tmp_path / "zero-bug.json"
+    path.write_text(ir.dumps(circ))
+    for samples in (1, 65):
+        ins = cli._input_planes(circ.width, layout.inputs, False, samples, 3)
+        drawn = functools.reduce(np.bitwise_or, [ins.wires[w][0] for w in layout.inputs])
+        assert (drawn == sim.row_mask(samples)).all()  # no drawn row is all zero
+        assert run_cli("verify", *flags, "--samples", str(samples), "--seed", "3", "--circuit", str(path)) == 0
+        assert capsys.readouterr().out == f"PASS block-adder: {samples} cases\n"
 
 
 def test_verify_circuit_of_other_scheme_exits_2(tmp_path, capsys):
@@ -387,4 +448,13 @@ def test_expected_outputs_matches_big_int(kind, n, scheme, carry_in, carry_out):
         args = cli.make_parser().parse_args(argv)
         circ, layout = cli.build_kind(args)
         ins = oracle.adder_inputs(layout, circ.width, rng, 200)
-        assert (cli.expected_outputs(kind, k, layout, ins) == oracle.adder_outputs(layout, ins, k)).all()
+        exp = cli.expected_outputs(kind, k, layout, oracle.to_planes(ins, circ.dims))
+        assert (oracle.from_planes(exp) == oracle.adder_outputs(layout, ins, k)).all()
+
+
+@pytest.mark.parametrize("kind,table", [("compress231", cli.TABLE_231), ("compress241", cli.TABLE_241)], ids=["231", "241"])
+def test_expected_outputs_matches_compressor_tables(kind, table):
+    # Every table row, repeated past one 64-row word.
+    ins = np.array(list(table) * 20)
+    exp = cli.expected_outputs(kind, None, None, oracle.to_planes(ins, (2,) * ins.shape[1]))
+    assert [tuple(row) for row in oracle.from_planes(exp).tolist()] == [table[tuple(row)] for row in ins.tolist()]

@@ -88,17 +88,29 @@ def test_run_batch_matches_scalar_run():
         sim.run_batch(c, states[:, :2])
 
 
-@pytest.mark.parametrize("row", [
-    pytest.param([1, 3, 0, 0], id="too-large-on-incremented-wire"),
-    pytest.param([0, 0, -1, 0], id="negative-on-flipped-wire"),
-    pytest.param([0, 0, 0, 2], id="too-large-on-untouched-wire"),
+@pytest.mark.parametrize("row,packed", [
+    pytest.param([1, 3, 0, 0], False, id="too-large-on-incremented-wire"),
+    pytest.param([0, 0, -1, 0], False, id="negative-on-flipped-wire"),
+    pytest.param([0, 0, 0, 2], False, id="too-large-on-untouched-wire"),
+    pytest.param([1, 3, 0, 0], True, id="planes-code-3-on-a-qutrit"),
+    pytest.param([0, 0, 0, 2], True, id="planes-bit-on-plane-1-of-a-qubit"),
 ])
-def test_run_batch_rejects_digits_outside_dim(row):
+def test_run_batch_rejects_digits_outside_dim(row, packed):
     # Wire 3 (dim 2) is untouched by the gates of mixed_circuit.
     c = ir.extend(ir.new_circuit(mixed_circuit().wires + (Wire("d", 2),)), mixed_circuit().gates)
     states = np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]])
+    if packed:  # two planes on every wire, so each holds any code 0-3
+        states = oracle.to_planes(states, (4, 4, 4, 4))
     with pytest.raises(ValueError, match="outside"):
         sim.run_batch(c, states)
+
+
+def test_run_batch_max_digit_ignores_padding_rows():
+    # The one row fails the control; the zero padding rows meet it and reach digit 2.
+    c = ir.extend(ir.new_circuit([Wire("a", 3), Wire("b", 3)]), [ir.incr(0, 2, [(1, 0)])])
+    states = np.array([[0, 1]])
+    for batch in (states, oracle.to_planes(states, c.dims)):
+        assert sim.run_batch(c, batch, track_max=True)[1] == 1
 
 
 def test_statevector_agrees_with_basis_run():
@@ -207,6 +219,15 @@ def test_property_batch_matches_scalar_steps(cb):
     assert max_digit == want_max
     untracked, zero = sim.run_batch(c, states)
     assert (untracked == out).all() and zero == 0
+    # The same batch as planes, with every padding bit set: padding is never
+    # checked, and never counts toward the largest digit.  The input is not modified.
+    ins = oracle.to_planes(states, c.dims, padding=1)
+    before = [[x.copy() for x in planes] for planes in ins.wires]
+    planes, planes_max = sim.run_batch(c, ins, track_max=True)
+    assert all((x == y).all() for p, q in zip(before, ins.wires, strict=True) for x, y in zip(p, q, strict=True))
+    assert isinstance(planes, sim.Planes) and len(planes) == len(states)
+    assert [tuple(row) for row in oracle.from_planes(planes).tolist()] == want
+    assert planes_max == want_max
 
 
 @pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
