@@ -126,9 +126,9 @@ class Circuit:
     """Ordered gates over a fixed wire list.
 
     ``input_bounds`` declares the per-wire input alphabet the circuit is
-    meant to accept (e.g. binary inputs on capacity-3 wires); it defaults to
-    the wire dimensions and is metadata for verification harnesses, not a
-    gate-level constraint.
+    meant to accept; it defaults to binary, ``(2,) * width``, as inputs and
+    outputs are binary even on capacity-3 or -4 wires.  It is metadata for
+    verification harnesses, not a gate-level constraint.
     """
 
     wires: tuple[Wire, ...]
@@ -137,7 +137,7 @@ class Circuit:
 
     def __post_init__(self):
         if not self.input_bounds:
-            self.input_bounds = tuple(w.dim for w in self.wires)
+            self.input_bounds = (2,) * len(self.wires)
         if len(self.input_bounds) != len(self.wires):
             raise CircuitError("input_bounds length must match wire count")
         for b, w in zip(self.input_bounds, self.wires):

@@ -99,7 +99,7 @@ class AdderWiring:
         names = self.names()
         carries = (self.carry_in, self.carry_out)
         wires = [Wire(names[i], 2 if i in carries else dim) for i in range(self.width)]
-        return ir.new_circuit(wires, input_bounds=(2,) * len(wires))
+        return ir.new_circuit(wires)
 
     def encode(self, a: int, b: int, cin: int = 0) -> list[int]:
         """Input digits, wire 0 first: A, B and the carry-in; 0 on every other wire.

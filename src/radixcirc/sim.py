@@ -6,9 +6,9 @@ does to a digit from ``ir.image``.
 ``run_batch`` is bit-sliced (Biham, FSE 1997) and works on ``Planes``: a
 wire of dimension d holds its digit in ceil(log2 d) planes, and plane b is
 an array of ``uint64`` words whose bit r % 64 of word r // 64 is bit b of
-row r's digit, with the rows padded to a multiple of 64.  A dense batch is
-packed on the way in and unpacked on the way out; a ``Planes`` batch, which
-``radixcirc verify`` draws, checks and compares as such, stays packed.
+row r's digit, with the rows padded to a multiple of 64.  ``Planes`` is its
+only batch form, in and out: ``radixcirc verify`` draws, checks and
+compares its batches as planes, and never builds a dense matrix.
 A control ``(w, v)`` is the AND of wire w's plane literals for v; codes d
 and above never occur, so literals that only exclude them are dropped (on a
 qutrit, digit 2 is plane 1 alone).  A flip or increment XORs into each plane
@@ -180,61 +180,29 @@ def _top(planes: list[np.ndarray], valid: np.ndarray) -> int:
     return next((v for v in reversed(range(1, codes)) if (_eval_cube(planes, _eq_cube(v, codes)) & valid).any()), 0)
 
 
-def _pack(mat: np.ndarray, dims: tuple[int, ...]) -> list[list[np.ndarray]]:
-    """Each wire's ceil(log2 dim) planes of the rows of ``mat``; padding rows are zero."""
-    digits = np.zeros((len(dims), -(-len(mat) // 64) * 64), dtype=np.uint8)
-    digits[:, :len(mat)] = mat.T
-    return [[np.packbits(d >> b & 1, bitorder="little").view(np.uint64) for b in range((dim - 1).bit_length())]
-            for d, dim in zip(digits, dims)]
+def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Planes, int]:
+    """Run a ``Planes`` batch of basis states at once, 64 to a machine word.
 
-
-def _unpack(p: Planes) -> np.ndarray:
-    """The rows of ``p`` as an (n, width) int64 array."""
-    digits = np.zeros((len(p.wires), p.n), dtype=np.uint8)
-    for d, planes in zip(digits, p.wires):
-        for b, words in enumerate(planes):
-            d |= np.unpackbits(words.view(np.uint8), count=p.n, bitorder="little") << b
-    return np.ascontiguousarray(digits.T, dtype=np.int64)
-
-
-def run_batch(
-    c: Circuit,
-    states: np.ndarray | Planes,
-    track_max: bool = False,
-) -> tuple[np.ndarray | Planes, int]:
-    """Run many basis states at once, 64 to a machine word.
-
-    ``states`` is an (n_states, width) integer array, or a ``Planes`` batch
-    of width wires, whose digits lie in ``[0, dim)`` of their wires, else
-    ``ValueError``; it is not modified.  Returns the outputs in the same form
-    (a new int64 array, or a ``Planes`` with ceil(log2 dim) planes per wire)
-    and, when ``track_max`` is set, the largest digit observed on any wire at
-    any point during execution (inputs included), else 0.  Padding rows of a
-    ``Planes`` batch are neither checked nor counted.
+    ``states`` has one entry per wire of ``c``, and its digits on rows below
+    ``n`` lie in ``[0, dim)`` of their wires, else ``ValueError``; it is not
+    modified.  Returns the outputs as a ``Planes`` with ceil(log2 dim) planes
+    per wire and, when ``track_max`` is set, the largest digit observed on any
+    wire at any point during execution (inputs included), else 0.  Padding
+    rows are neither checked nor counted.
     """
     dims = c.dims
-    packed = isinstance(states, Planes)
-    if packed:
-        if len(states.wires) != c.width:
-            raise ValueError(f"expected {c.width} wires, got {len(states.wires)}")
-        n = states.n
-    else:
-        mat = np.asarray(states, dtype=np.int64)
-        if mat.ndim != 2 or mat.shape[1] != c.width:
-            raise ValueError(f"expected shape (*, {c.width}), got {mat.shape}")
-        n = len(mat)
+    if len(states.wires) != c.width:
+        raise ValueError(f"expected {c.width} wires, got {len(states.wires)}")
+    n = states.n
     valid = row_mask(n)
-    # A negative digit reads as a huge unsigned one, so one comparison catches both ends.
-    top = [_top(p, valid) for p in states.wires] if packed else mat.view(np.uint64).max(axis=0, initial=0)
+    top = [_top(p, valid) for p in states.wires]
     bad = [w for w, (t, dim) in enumerate(zip(top, dims)) if t >= dim]
     if bad:
         raise ValueError(f"wire {bad[0]} holds a digit outside [0, {dims[bad[0]]})")
-    if packed:  # unlisted planes are zero; planes past ceil(log2 dim) are, as just checked
-        zero = np.zeros_like(valid)
-        planes = [p[:nb] + [zero] * (nb - len(p)) for p, nb in zip(states.wires, ((d - 1).bit_length() for d in dims))]
-    else:
-        planes = _pack(mat, dims)
-    input_max = int(max(top, default=0)) if track_max else 0
+    # Unlisted planes are zero; planes past ceil(log2 dim) are, as just checked.
+    zero = np.zeros_like(valid)
+    planes = [p[:nb] + [zero] * (nb - len(p)) for p, nb in zip(states.wires, ((d - 1).bit_length() for d in dims))]
+    input_max = max(top, default=0) if track_max else 0
     seen: dict[int, np.ndarray] = {}  # digit -> rows where a gate put it on its target
     for g in c.gates:
         mask = None
@@ -264,5 +232,4 @@ def run_batch(
                     hit = _and(mask, _eval_cube(p, cube))
                     seen[v] = hit if v not in seen else seen[v] | hit
     max_digit = max([v for v, rows in seen.items() if (rows & valid).any()], default=input_max)
-    out = Planes(planes, n)
-    return (out if packed else _unpack(out)), max_digit
+    return Planes(planes, n), max_digit

@@ -1,8 +1,10 @@
 """Independent test oracle: the adder contract as big-integer arithmetic
 (``adder_inputs``, ``adder_outputs``), a dense statevector simulator,
 basis-state sweeps, the reference document ``ir.dumps`` must write
-(``circuit_to_dict``), and conversions between dense rows and ``sim.Planes``
-(``to_planes``, ``from_planes``) written with numpy's bit packing.
+(``circuit_to_dict``), and the only conversions between dense (n, width)
+rows and ``sim.Planes`` (``to_planes``, ``from_planes``), written with
+numpy's bit packing.  ``run_rows`` runs ``sim.run_batch``, which takes
+``Planes`` only, on dense rows through them.
 
 The statevector engine defines the gate semantics itself (``_digit_map``),
 so comparing it with ``sim.run`` and ``sim.run_batch`` compares two
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from radixcirc import ir
+from radixcirc import ir, sim
 from radixcirc.ir import FLIP, SWAP, Circuit, Gate
 from radixcirc.qubit_adders import AdderWiring
 from radixcirc.sim import BasisState, Planes
@@ -66,14 +68,18 @@ def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) ->
 
 def to_planes(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Planes:
     """Dense (n, width) digits as ``Planes``, ceil(log2 dim) planes per wire, with
-    every padding bit set to ``padding``."""
+    every padding bit set to ``padding``.  A digit those planes cannot hold
+    (negative, or 2^ceil(log2 dim) or more) raises ``ValueError``."""
     states = np.asarray(states)
     n = len(states)
     bits = np.full(-(-n // 64) * 64, padding, dtype=np.uint8)
     wires = []
     for w, dim in enumerate(dims):
+        n_bits = (dim - 1).bit_length()
+        if ((states[:, w] < 0) | (states[:, w] >= 1 << n_bits)).any():
+            raise ValueError(f"wire {w} holds a digit that does not fit {n_bits} planes")
         planes = []
-        for b in range((dim - 1).bit_length()):
+        for b in range(n_bits):
             bits[:n] = states[:, w] >> b & 1
             planes.append(np.packbits(bits, bitorder="little").view(np.uint64))
         wires.append(planes)
@@ -88,6 +94,12 @@ def from_planes(p: Planes, dtype=np.int64) -> np.ndarray:
             bits = np.unpackbits(np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8), bitorder="little")
             out[:, w] |= bits[:p.n].astype(dtype) << b
     return out
+
+
+def run_rows(c: Circuit, rows: np.ndarray, track_max: bool = False) -> tuple[np.ndarray, int]:
+    """``sim.run_batch`` on dense (n, width) rows: the output rows and the largest digit."""
+    out, max_digit = sim.run_batch(c, to_planes(rows, c.dims), track_max)
+    return from_planes(out), max_digit
 
 
 def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Iterator[BasisState]:

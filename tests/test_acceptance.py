@@ -106,7 +106,7 @@ def test_criterion_4_sub_adders(capsys):
                     + [(build_plus_k(n, kk, ci, co), kk) for kk in range(1 << n)]
                 ):
                     ins = oracle.adder_inputs(built.wiring, built.circuit.width)
-                    out, _ = sim.run_batch(built.circuit, ins)
+                    out, _ = oracle.run_rows(built.circuit, ins)
                     assert (out == oracle.adder_outputs(built.wiring, ins, k)).all()
         assert time.perf_counter() - t0 < 30.0
 
@@ -151,7 +151,7 @@ def _flagship_sweep(mode, scheme, n, k):
             circ = bb.build_block_plus_k(plan, k, ci, co)
         layout = plan.layout(ci, co)
         ins = oracle.adder_inputs(layout, circ.width, rng, 256)
-        out, max_digit = sim.run_batch(circ, ins, track_max=True)
+        out, max_digit = oracle.run_rows(circ, ins, track_max=True)
         worst = max(worst, max_digit)
         wrong += int((out != oracle.adder_outputs(layout, ins, k)).any(axis=1).sum())
     return worst, wrong
@@ -224,7 +224,7 @@ def test_criterion_9_inversion(capsys):
             both = oracle.forward_then_inverse(c)
             dims = np.array(c.dims)
             states = rng.integers(0, dims, size=(100, c.width))
-            out, _ = sim.run_batch(both, states)
+            out, _ = oracle.run_rows(both, states)
             assert (out == states).all()
 
     _check(9, "inversion property", capsys, body)

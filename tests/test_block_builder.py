@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
-from radixcirc import ir, sim
+from radixcirc import ir
 
 import oracle
 
@@ -103,7 +103,7 @@ def test_block_adder_241_n12(carry_in, carry_out):
     assert circ.width == 24 + carry_in + carry_out
     layout = plan.layout(carry_in, carry_out)
     ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(5), 100)
-    out, _ = sim.run_batch(circ, ins)
+    out, _ = oracle.run_rows(circ, ins)
     assert (out == oracle.adder_outputs(layout, ins)).all()
 
 
@@ -115,7 +115,7 @@ def test_block_plus_k_241_n60(carry_in, carry_out):
     assert circ.width == 60 + carry_in + carry_out
     layout = plan.layout(carry_in, carry_out)
     ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(6), 60)
-    out, _ = sim.run_batch(circ, ins)
+    out, _ = oracle.run_rows(circ, ins)
     assert (out == oracle.adder_outputs(layout, ins, k)).all()
 
 
@@ -124,7 +124,7 @@ def test_block_adder_edge_values():
     circ = bb.build_block_adder(plan, carry_in=True, carry_out=True)
     n = 30
     for a, b, cin in [(0, 0, 0), ((1 << n) - 1, (1 << n) - 1, 1), ((1 << n) - 1, 1, 0), (0, 0, 1)]:
-        out, _ = sim.run_batch(circ, np.array([bb.encode_input(plan, b, a, cin, True, True)]))
+        out, _ = oracle.run_rows(circ, np.array([bb.encode_input(plan, b, a, cin, True, True)]))
         a_out, s_out, cout = bb.decode_output(plan, out[0], True, True)
         tot = a + b + cin
         assert (a_out, s_out, cout) == (a, tot % (1 << n), tot >> n)
@@ -188,7 +188,7 @@ def test_intermediate_digits_bounded_by_scheme():
             bb.encode_input(plan, int(rng.integers(0, 1 << 30)) % (1 << n), int(rng.integers(0, 1 << 30)) % (1 << n))
             for _ in range(50)
         ]
-        _, max_digit = sim.run_batch(circ, np.array(states), track_max=True)
+        _, max_digit = oracle.run_rows(circ, np.array(states), track_max=True)
         assert max_digit <= bound
 
 
@@ -198,7 +198,7 @@ def test_inverse_block_adder_round_trip():
     both = oracle.forward_then_inverse(circ)
     rng = np.random.default_rng(10)
     states = rng.integers(0, 2, size=(100, circ.width))
-    out, _ = sim.run_batch(both, states)
+    out, _ = oracle.run_rows(both, states)
     assert (out == states).all()
 
 
@@ -253,12 +253,12 @@ def _plan_space_property(plan, carries, seed):
     assert ir.cancel_inverses(circ.gates, circ.dims) == circ.gates
     layout = plan.layout(carry_in, carry_out)
     ins = oracle.adder_inputs(layout, circ.width, rng, 8)
-    out, max_digit = sim.run_batch(circ, ins, track_max=True)
+    out, max_digit = oracle.run_rows(circ, ins, track_max=True)
     assert max_digit <= plan.scheme.y - 1
     assert (out == oracle.adder_outputs(layout, ins, k)).all()
 
     digits = rng.integers(0, np.array(circ.dims), size=(8, circ.width))
-    back, _ = sim.run_batch(oracle.forward_then_inverse(circ), digits)
+    back, _ = oracle.run_rows(oracle.forward_then_inverse(circ), digits)
     assert (back == digits).all()
 
 

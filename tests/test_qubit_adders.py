@@ -104,7 +104,7 @@ def test_carry_out_gates_exhaustive(n, carry_in):
         not_b[:, w.b] ^= 1
         exp = ins.copy()
         exp[:, w.carry_out] ^= oracle.adder_outputs(w, not_b, k)[:, w.carry_out]
-        out, _ = sim.run_batch(ir.extend(w.new_circuit(), gates), ins)
+        out, _ = oracle.run_rows(ir.extend(w.new_circuit(), gates), ins)
         assert (out == exp).all(), (n, k)
 
 
@@ -118,11 +118,11 @@ def test_emitters_honour_every_carry_wire_of_the_wiring():
     w = AdderWiring(a=(6, 1, 4), b=(0, 5, 2), carry_in=3, carry_out=7, ancilla=(8, 9, 10))
     ins = oracle.adder_inputs(w, w.width)
     for gates in (cla_gates(w), ripple_gates(w)):
-        out, _ = sim.run_batch(ir.extend(w.new_circuit(), gates), ins)
+        out, _ = oracle.run_rows(ir.extend(w.new_circuit(), gates), ins)
         assert (out == oracle.adder_outputs(w, ins)).all()
 
 
-def run_rows(c, ins):
+def run_scalar(c, ins):
     """Scalar ``sim.run`` on each row of ``ins``."""
     return np.array([sim.run(c, sim.basis_state(c, row)).digits for row in ins.tolist()])
 
@@ -132,7 +132,7 @@ def run_rows(c, ins):
 def test_cla_adder_exhaustive(n, ci, co):
     built = build_cla_adder(n, ci, co)
     ins = oracle.adder_inputs(built.wiring, built.circuit.width)
-    assert (run_rows(built.circuit, ins) == oracle.adder_outputs(built.wiring, ins)).all()
+    assert (run_scalar(built.circuit, ins) == oracle.adder_outputs(built.wiring, ins)).all()
 
 
 @pytest.mark.parametrize("ci,co", VARIANTS)
@@ -141,7 +141,7 @@ def test_ripple_adder_exhaustive(n, ci, co):
     built = build_ripple_adder(n, ci, co)
     assert not built.wiring.ancilla
     ins = oracle.adder_inputs(built.wiring, built.circuit.width)
-    assert (run_rows(built.circuit, ins) == oracle.adder_outputs(built.wiring, ins)).all()
+    assert (run_scalar(built.circuit, ins) == oracle.adder_outputs(built.wiring, ins)).all()
 
 
 @pytest.mark.parametrize("ci,co", VARIANTS)
@@ -150,7 +150,7 @@ def test_plus_k_exhaustive(n, ci, co):
     for k in range(1 << n):
         built = build_plus_k(n, k, ci, co)
         ins = oracle.adder_inputs(built.wiring, built.circuit.width)
-        assert (run_rows(built.circuit, ins) == oracle.adder_outputs(built.wiring, ins, k)).all()
+        assert (run_scalar(built.circuit, ins) == oracle.adder_outputs(built.wiring, ins, k)).all()
 
 
 def test_plus_k_constant_range():
@@ -211,10 +211,10 @@ def test_builders_emit_net_circuits(carry_in, carry_out):
             c = built.circuit
             assert ir.cancel_inverses(c.gates, c.dims) == c.gates, n
             ins = oracle.adder_inputs(built.wiring, c.width, rng, 6)
-            out, _ = sim.run_batch(c, ins)
+            out, _ = oracle.run_rows(c, ins)
             assert (out == oracle.adder_outputs(built.wiring, ins, addend)).all(), n
             digits = rng.integers(0, 2, size=(6, c.width))
-            back, _ = sim.run_batch(oracle.forward_then_inverse(c), digits)
+            back, _ = oracle.run_rows(oracle.forward_then_inverse(c), digits)
             assert (back == digits).all(), n
 
 

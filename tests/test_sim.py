@@ -80,37 +80,41 @@ def test_interface_states_honor_bounds():
 def test_run_batch_matches_scalar_run():
     c = mixed_circuit()
     states = np.array([s.digits for s in oracle.all_basis_states(c)])
-    out, max_digit = sim.run_batch(c, states, track_max=True)
+    out, max_digit = oracle.run_rows(c, states, track_max=True)
     for row_in, row_out in zip(states, out):
         assert tuple(row_out) == sim.run(c, sim.basis_state(c, row_in)).digits
     assert max_digit == 3
-    with pytest.raises(ValueError):
-        sim.run_batch(c, states[:, :2])
+    with pytest.raises(ValueError, match="expected"):
+        sim.run_batch(c, oracle.to_planes(states[:, :2], c.dims[:2]))
 
 
-@pytest.mark.parametrize("row,packed", [
-    pytest.param([1, 3, 0, 0], False, id="too-large-on-incremented-wire"),
-    pytest.param([0, 0, -1, 0], False, id="negative-on-flipped-wire"),
-    pytest.param([0, 0, 0, 2], False, id="too-large-on-untouched-wire"),
-    pytest.param([1, 3, 0, 0], True, id="planes-code-3-on-a-qutrit"),
-    pytest.param([0, 0, 0, 2], True, id="planes-bit-on-plane-1-of-a-qubit"),
+@pytest.mark.parametrize("row", [
+    pytest.param([1, 3, 0, 0], id="planes-code-3-on-a-qutrit"),
+    pytest.param([0, 0, 0, 2], id="planes-bit-on-plane-1-of-a-qubit"),
 ])
-def test_run_batch_rejects_digits_outside_dim(row, packed):
+def test_run_batch_rejects_digits_outside_dim(row):
     # Wire 3 (dim 2) is untouched by the gates of mixed_circuit.
     c = ir.extend(ir.new_circuit(mixed_circuit().wires + (Wire("d", 2),)), mixed_circuit().gates)
-    states = np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]])
-    if packed:  # two planes on every wire, so each holds any code 0-3
-        states = oracle.to_planes(states, (4, 4, 4, 4))
+    # Two planes on every wire, so each holds any code 0-3.
+    states = oracle.to_planes(np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]]), (4, 4, 4, 4))
     with pytest.raises(ValueError, match="outside"):
         sim.run_batch(c, states)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param([0, 0, -1], id="negative-on-a-ququart"),
+    pytest.param([0, 4, 0], id="4-on-a-qutrit"),
+])
+def test_to_planes_rejects_digits_its_planes_cannot_hold(row):
+    # Without the check, -1 would pack as code 3 on the ququart and 4 as code 0 on the qutrit.
+    with pytest.raises(ValueError, match="does not fit"):
+        oracle.to_planes(np.array([[1, 2, 3], row]), mixed_circuit().dims)
 
 
 def test_run_batch_max_digit_ignores_padding_rows():
     # The one row fails the control; the zero padding rows meet it and reach digit 2.
     c = ir.extend(ir.new_circuit([Wire("a", 3), Wire("b", 3)]), [ir.incr(0, 2, [(1, 0)])])
-    states = np.array([[0, 1]])
-    for batch in (states, oracle.to_planes(states, c.dims)):
-        assert sim.run_batch(c, batch, track_max=True)[1] == 1
+    assert sim.run_batch(c, oracle.to_planes(np.array([[0, 1]]), c.dims), track_max=True)[1] == 1
 
 
 def test_statevector_agrees_with_basis_run():
@@ -170,8 +174,8 @@ def circuit_and_state(draw):
 @st.composite
 def circuit_and_batch(draw):
     """A circuit and a batch: empty, one row, row counts on both sides of the
-    64-row word, and one past the 1024-row unpacking chunk.  Digits stay below
-    ``high`` so the gates, not the inputs, often set the largest digit."""
+    64-row word, and 1089 rows of 18 words.  Digits stay below ``high`` so the
+    gates, not the inputs, often set the largest digit."""
     c = draw(circuits())
     n = draw(st.sampled_from([0, 1, 63, 64, 65, 129, 1089]))
     high = draw(st.integers(1, 5))
@@ -194,7 +198,7 @@ def test_property_batch_and_statevector_agree(cs):
     c, digits = cs
     s = sim.basis_state(c, digits)
     out = sim.run(c, s)
-    batch, _ = sim.run_batch(c, np.array([digits]))
+    batch, _ = oracle.run_rows(c, np.array([digits]))
     assert tuple(batch[0]) == out.digits
     v = oracle.run_statevector(c, oracle.statevector_from_basis(s))
     assert v.amps[oracle.state_index(out.digits, c.dims)] == pytest.approx(1.0)
@@ -213,21 +217,19 @@ def test_property_batch_matches_scalar_steps(cb):
             s = sim.run(step, s)
             want_max = max(want_max, *s.digits)
         want.append(s.digits)
-    out, max_digit = sim.run_batch(c, states, track_max=True)
-    assert out.dtype == np.int64 and out.shape == states.shape
-    assert [tuple(row) for row in out.tolist()] == want
-    assert max_digit == want_max
-    untracked, zero = sim.run_batch(c, states)
-    assert (untracked == out).all() and zero == 0
-    # The same batch as planes, with every padding bit set: padding is never
-    # checked, and never counts toward the largest digit.  The input is not modified.
+    # Every padding bit set: padding is never checked, and never counts toward
+    # the largest digit.  The input is not modified.
     ins = oracle.to_planes(states, c.dims, padding=1)
     before = [[x.copy() for x in planes] for planes in ins.wires]
-    planes, planes_max = sim.run_batch(c, ins, track_max=True)
+    out, max_digit = sim.run_batch(c, ins, track_max=True)
     assert all((x == y).all() for p, q in zip(before, ins.wires, strict=True) for x, y in zip(p, q, strict=True))
-    assert isinstance(planes, sim.Planes) and len(planes) == len(states)
-    assert [tuple(row) for row in oracle.from_planes(planes).tolist()] == want
-    assert planes_max == want_max
+    assert isinstance(out, sim.Planes) and len(out) == len(states)
+    assert [len(p) for p in out.wires] == [(d - 1).bit_length() for d in c.dims]
+    rows = oracle.from_planes(out)
+    assert [tuple(row) for row in rows.tolist()] == want
+    assert max_digit == want_max
+    untracked, zero = sim.run_batch(c, ins)
+    assert (oracle.from_planes(untracked) == rows).all() and zero == 0
 
 
 @pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
@@ -237,7 +239,7 @@ def test_scalar_run_matches_batch_and_big_int_on_flagship_adders(scheme, carry_i
     circ = bb.build_block_adder(plan, carry_in, carry_out)
     layout = plan.layout(carry_in, carry_out)
     ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(3), 12)
-    batch, _ = sim.run_batch(circ, ins)
+    batch, _ = oracle.run_rows(circ, ins)
     for digits, batch_row in zip(ins.tolist(), batch.tolist()):
         assert sim.run(circ, sim.basis_state(circ, digits)).digits == tuple(batch_row)
     assert (batch == oracle.adder_outputs(layout, ins)).all()
@@ -250,7 +252,7 @@ def test_scalar_run_matches_batch_and_big_int_on_flagship_adders(scheme, carry_i
 ])
 def test_scalar_run_matches_batch_and_statevector(circ):
     states = list(oracle.interface_states(circ))
-    batch, _ = sim.run_batch(circ, np.array([s.digits for s in states]))
+    batch, _ = oracle.run_rows(circ, np.array([s.digits for s in states]))
     for s, batch_row in zip(states, batch):
         out = sim.run(circ, s)
         assert out.digits == tuple(int(d) for d in batch_row)
