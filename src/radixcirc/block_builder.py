@@ -8,8 +8,8 @@ and finally cleared in reverse block order, each by the carry-out comparator
 on its block's sum.
 
 Feasibility uses exact per-step accounting: the ancilla generated by the
-c - 1 compressed blocks must cover the sub-adder's worst case plus up to
-c - 1 live carry slots.  The closed-form worst-case inequality
+c - 1 compressed blocks must cover the sub-adder's ``ancilla_used`` plus up
+to c - 1 live carry slots.  The closed-form worst-case inequality
 floor((c-1) * q / (g * c)) >= 2n/c + c - 1 (q = total register qubits,
 g = qubits consumed per generated ancilla) selects c and is cross-checked
 against the exact accounting.
@@ -24,7 +24,7 @@ from typing import Iterator
 from . import compress as cmp
 from . import ir
 from .ir import Circuit, Gate, swap
-from .qubit_adders import AdderWiring, ancilla_required, ancilla_required_plus_k, carry_out_gates, cla_gates
+from .qubit_adders import AdderWiring, ancilla_used, carry_out_gates, cla_gates
 
 MODE_AB = "a+b"
 MODE_PLUS_K = "+k"
@@ -103,12 +103,6 @@ class BlockPlan:
         """Generated ancilla available while one block is decompressed."""
         return (self.c - 1) * (self.block_wires // self.scheme.m)
 
-    @property
-    def adder_ancilla(self) -> int:
-        if self.mode == MODE_AB:
-            return ancilla_required(self.block_bits)
-        return ancilla_required_plus_k(self.block_bits)
-
 
 def worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -> tuple[int, int]:
     """Both sides of the closed-form bound, which assumes worst-case ancilla demand 2n/c."""
@@ -117,11 +111,11 @@ def worst_case_sides(mode: str, scheme: cmp.CompressionScheme, n: int, c: int) -
 
 def exact_accounting(plan: BlockPlan) -> bool:
     """Per-step check: pool covers the sub-adder plus all live carry slots."""
-    return plan.ancilla_per_step >= plan.adder_ancilla + plan.c - 1
+    return plan.ancilla_per_step >= ancilla_used(plan.block_bits) + plan.c - 1
 
 
 def _shortfall(plan: BlockPlan) -> str:
-    return f"{plan.ancilla_per_step} ancilla per step < {plan.adder_ancilla + plan.c - 1} needed"
+    return f"{plan.ancilla_per_step} ancilla per step < {ancilla_used(plan.block_bits) + plan.c - 1} needed"
 
 
 def _block_counts(mode: str, scheme: cmp.CompressionScheme, n: int) -> Iterator[tuple[int, str | None]]:
@@ -193,15 +187,16 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
     """The block schedule as one rule.
 
     Compress every block.  Step j decompresses block j, adds it, recompresses
-    it and (but for the last block) parks its carry-out in block j's carry
-    slot.  Undo, for j = c-2 down to 0: unpark carry j, decompress block j,
-    clear the carry with the carry-out comparator and recompress.  Finally,
-    decompress every block.  Each block's compressor, each step's sub-adder
-    and each undo step's comparator is built once.  ``ir.cancel_inverses``
-    then drops what undoes itself: block 0, compressed and at once
-    decompressed at the start and at the end, a group compressed and
-    decompressed with no use of its ancilla in between, the comparator's
-    carries the carry-out never reads, and the cascades these expose.
+    it and (but for the last block) parks its carry-out, written on the last
+    free pool wire, in block j's carry slot.  Undo, for j = c-2 down to 0:
+    unpark carry j, decompress block j, clear the carry with the carry-out
+    comparator and recompress.  Finally, decompress every block.  Each
+    block's compressor, each step's sub-adder and each undo step's comparator
+    is built once.  ``ir.cancel_inverses`` then drops what undoes itself:
+    block 0, compressed and at once decompressed at the start and at the end,
+    a group compressed and decompressed with no use of its ancilla in
+    between, the comparator's carries the carry-out never reads, and the
+    cascades these expose.
     """
     if not exact_accounting(plan):
         raise InfeasiblePlan(
@@ -210,21 +205,22 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
     layout = plan.layout(carry_in, carry_out)
     circ = layout.new_circuit(plan.scheme.y)
     dims = circ.dims
-    c, nb, need, slots = plan.c, plan.block_bits, plan.adder_ancilla, plan.carry_slots
+    c, nb, need, slots = plan.c, plan.block_bits, ancilla_used(plan.block_bits), plan.carry_slots
     compress = [cmp.block_gates(plan.scheme, blk) for blk in plan.block_layouts]
     decompress = [ir.invert_gates(gates, dims) for gates in compress]
 
     def k_block(j: int) -> int | None:
         return None if k is None else (k >> (j * nb)) & ((1 << nb) - 1)
 
-    # Step j adds block j with carry-in from the previous step's slot.  Its ancilla
-    # and carry-out come from the other blocks' freed wires that hold no parked carry.
+    # Step j adds block j with carry-in from the previous step's slot, on the other blocks'
+    # freed wires that hold no parked carry: its ancilla first, its carry-out on the last
+    # (on the wire right after the ancilla, the 2-3-1 n=60 adder is 255 layers deep, not 248).
     steps: list[tuple[AdderWiring, list[Gate]]] = []
     for j, (a, b) in enumerate(plan.block_registers()):
         parked = set(slots[:j])
         pool = sorted(w for i, blk in enumerate(plan.block_layouts) if i != j for w in blk.ancilla if w not in parked)
         cin = layout.carry_in if j == 0 else slots[j - 1]
-        cout = pool[need] if j < c - 1 else layout.carry_out
+        cout = pool[-1] if j < c - 1 else layout.carry_out
         wiring = AdderWiring(a, b, cin, cout, tuple(pool[:need]))
         steps.append((wiring, cla_gates(wiring, k=k_block(j))))
 

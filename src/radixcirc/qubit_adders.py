@@ -6,9 +6,8 @@ c_in mod 2^n in place, A preserved, supplied ancilla restored to 0, optional
 carry-out on a separate zero-initialized interface wire):
 
 * ``cla_gates`` - carry-lookahead with a Brent-Kung style prefix tree over
-  generate/propagate bits, O(log n) depth, using at most
-  2n - w(n) - floor(log2 n) ancilla: the carries, then the sum, then the same
-  carry computation run backwards on ~S to clear the carries.  With a
+  generate/propagate bits, O(log n) depth: the carries, then the sum, then
+  the same carry computation run backwards on ~S to clear the carries.  With a
   constant k in place of A, gates controlled on a_i are dropped (k_i = 0) or
   demoted (k_i = 1).
 * ``ripple_gates`` - O(n) depth, zero ancilla, for sizes where block
@@ -17,7 +16,8 @@ carry-out on a separate zero-initialized interface wire):
 Beside them, ``carry_out_gates`` is the comparator that clears an adder's
 carry-out from its sum: it XORs the carry-out of ~B + A + c_in (~B + k + c_in)
 into the carry-out wire with the same carry computation and prefix tree,
-O(log n) depth, touching 2n - w(n) - floor(log2 n) - 1 ancilla.
+O(log n) depth.  Both it and ``cla_gates`` need ``ancilla_used(n)`` ancilla
+and touch exactly those with a carry-out (the CLA at most those without).
 
 The block builder places ``cla_gates`` and ``carry_out_gates`` on its block
 layouts; ``build_*`` place an emitter on the canonical layout, less its
@@ -41,8 +41,9 @@ def ancilla_required(m: int) -> int:
     return 2 * m - m.bit_count() - (m.bit_length() - 1)
 
 
-def ancilla_required_plus_k(m: int) -> int:
-    """Worst-case ancilla of the constant adder: one less than the A+B bound."""
+def ancilla_used(m: int) -> int:
+    """Ancilla every carry-lookahead emitter checks and every builder reserves:
+    ``ancilla_required(m) - 1``, what ``cla_gates`` and ``carry_out_gates`` touch."""
     return ancilla_required(m) - 1
 
 
@@ -205,7 +206,7 @@ def _carries(w: AdderWiring, k: int | None, m: int, props: int) -> list[Gate]:
 def cla_gates(w: AdderWiring, k: int | None = None) -> list[Gate]:
     """Carry-lookahead gate list on layout ``w``, using the carries it names; when
     ``k`` is given the A register is the constant k and a-controlled gates are specialized away."""
-    n = _check_wiring(w, k, ancilla_required if k is None else ancilla_required_plus_k)
+    n = _check_wiring(w, k, ancilla_used)
     gates = _carries(w, k, n if w.carry_out is not None else n - 1, n)
     # sum layer
     gates += [cx(w.ancilla[i - 1], w.b[i]) for i in range(1, n)]
@@ -225,9 +226,9 @@ def carry_out_gates(w: AdderWiring, k: int | None = None) -> list[Gate]:
     carry-out it wrote, so this clears it.  Only the carries of ~B + A + c_in
     are computed, with the carry-out wire as the top carry; then the same
     gates run backwards, all but those on the carry-out wire, which no gate
-    reads.  It touches the first ``ancilla_required_plus_k(n)`` ancilla.
+    reads.  It touches the first ``ancilla_used(n)`` ancilla.
     """
-    n = _check_wiring(w, k, ancilla_required_plus_k)
+    n = _check_wiring(w, k, ancilla_used)
     if w.carry_out is None:
         raise ValueError("the comparator needs a carry-out wire")
     not_b = [x(b) for b in w.b]
@@ -317,14 +318,14 @@ def _placed(wiring: AdderWiring, gates: list[Gate]) -> BuiltAdder:
 
 
 def build_cla_adder(n: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
-    """Log-depth in-place adder: a, b, carries, then ``ancilla_required(n)`` ancilla."""
-    wiring = _canonical(n, n, carry_in, carry_out, ancilla_required(n))
+    """Log-depth in-place adder: a, b, carries, then ``ancilla_used(n)`` ancilla."""
+    wiring = _canonical(n, n, carry_in, carry_out, ancilla_used(n))
     return _placed(wiring, cla_gates(wiring))
 
 
 def build_plus_k(n: int, k: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:
-    """In-place B += k: b, carries, then ``ancilla_required_plus_k(n)`` ancilla."""
-    wiring = _canonical(n, 0, carry_in, carry_out, ancilla_required_plus_k(n))
+    """In-place B += k: b, carries, then ``ancilla_used(n)`` ancilla."""
+    wiring = _canonical(n, 0, carry_in, carry_out, ancilla_used(n))
     return _placed(wiring, cla_gates(wiring, k=k))
 
 

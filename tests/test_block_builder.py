@@ -204,9 +204,8 @@ def test_inverse_block_adder_round_trip():
 
 @pytest.mark.parametrize("carry_in,carry_out", [(False, False), (True, False), (False, True), (True, True)])
 def test_block_adder_231_depth_matches_readme(carry_in, carry_out):
-    # README: 222 at n=30 for every carry variant; at n=240, 307 without and
-    # 308 with a carry-out.
-    for n, depth in [(30, 222), (240, 308 if carry_out else 307)]:
+    # README: 213 without and 218 with a carry-out at n=30; 292 and 301 at n=240.
+    for n, depth in [(30, 218 if carry_out else 213), (240, 301 if carry_out else 292)]:
         plan = bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n)
         assert ir.depth(bb.build_block_adder(plan, carry_in, carry_out)) == depth
 
@@ -267,6 +266,29 @@ def test_plan_of_reads_each_feasible_plan_off_its_wires():
         carry_in, carry_out = CARRIES[i % len(CARRIES)]
         assert bb.plan_of(plan.layout(carry_in, carry_out).new_circuit(plan.scheme.y)) == plan
     assert bb.plan_of(ir.new_circuit([])) is None
+
+
+def test_block_steps_touch_every_reserved_ancilla(monkeypatch):
+    # Each step's sub-adder, given a carry-out, touches every ancilla its wiring reserves,
+    # and that carry-out is a pool wire of its own.
+    steps, cla_gates = [], bb.cla_gates
+
+    def recorded(wiring, k=None):
+        steps.append((wiring, cla_gates(wiring, k)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(bb, "cla_gates", recorded)
+    for plan in [p for p in FEASIBLE if p.n <= 60]:
+        steps.clear()
+        if plan.mode == bb.MODE_AB:
+            bb.build_block_adder(plan, carry_out=True)
+        else:
+            bb.build_block_plus_k(plan, (1 << plan.n) // 3, carry_out=True)
+        assert len(steps) == plan.c
+        for wiring, gates in steps:
+            touched = {w for g in gates for w in g.wires()} & set(wiring.ancilla)
+            assert touched == set(wiring.ancilla), plan
+            assert wiring.carry_out not in wiring.ancilla, plan
 
 
 def test_property_block_adder_over_plan_space():

@@ -47,7 +47,7 @@ def test_build_infeasible_exits_2(tmp_path, capsys):
     # c=13 meets the worst-case bound (16 >= 16) and fails the exact accounting
     assert run_cli("build", "--kind", "block-adder", "--n", "26", "--scheme", "231") == 2
     err = capsys.readouterr().err
-    assert "c=13: accounting 12 ancilla per step < 14 needed" in err
+    assert "c=13: accounting 12 ancilla per step < 13 needed" in err
     assert "c=2: bound 8 < 27" in err and "c=26: bound 16 < 27" in err
 
 
@@ -258,7 +258,7 @@ def test_stats_reads_plan_sidecar(tmp_path, capsys):
     ("block-adder --n 12 --scheme 241", 24),
     ("block-adder --n 30 --scheme 231 --carry-in", 61),
     ("block-plus-k --n 60 --scheme 241 --carry-out --k 12345", 61),
-    ("cla-adder --n 4 --carry-out", 14),
+    ("cla-adder --n 4 --carry-out", 13),
     ("plus-k --n 4 --k 9 --carry-in", 9),
     ("ripple-adder --n 4", 8),
     ("compress231", 3),

@@ -7,7 +7,7 @@ from radixcirc import ir, sim
 from radixcirc.qubit_adders import (
     AdderWiring,
     ancilla_required,
-    ancilla_required_plus_k,
+    ancilla_used,
     build_cla_adder,
     build_plus_k,
     build_ripple_adder,
@@ -26,7 +26,7 @@ def test_ancilla_formula_small_values():
     expected = {1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 8: 12, 16: 27, 1024: 2037}
     for m, v in expected.items():
         assert ancilla_required(m) == v
-        assert ancilla_required_plus_k(m) == v - 1
+        assert ancilla_used(m) == v - 1
     with pytest.raises(ValueError, match="register size"):
         ancilla_required(0)
 
@@ -49,7 +49,7 @@ def test_spec_and_wiring_validation():
 
 # Each emitter checks the layout it is given, so the block builder's layouts are checked too.
 # Every layout names a carry-out, which the comparator needs; the ancilla case is one short
-# of the comparator's ancilla_required_plus_k(3) = 2 and so short of the CLA's 3 too.
+# of the ancilla_used(3) = 2 that both emitters need.
 BAD_LAYOUTS = [
     pytest.param(AdderWiring((0, 1, 2), (3, 4, 5), carry_out=6, ancilla=(7,)), None, "insufficient ancilla",
                  id="ancilla"),
@@ -83,19 +83,19 @@ def comparator_wiring(n: int, plus_k: bool, carry_in: bool) -> AdderWiring:
     n_a = 0 if plus_k else n
     pos = n_a + n + carry_in + 1
     return AdderWiring(a=tuple(range(n_a)), b=tuple(range(n_a, n_a + n)), carry_in=n_a + n if carry_in else None,
-                       carry_out=pos - 1, ancilla=tuple(range(pos, pos + ancilla_required_plus_k(n) + 2)))
+                       carry_out=pos - 1, ancilla=tuple(range(pos, pos + ancilla_used(n) + 2)))
 
 
 @pytest.mark.parametrize("carry_in", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_carry_out_gates_exhaustive(n, carry_in):
     # The comparator flips only its carry-out wire, by the big-integer carry-out of
-    # ~B + A + c_in (~B + k + c_in), and touches exactly ancilla_required_plus_k(n) ancilla, a prefix.
+    # ~B + A + c_in (~B + k + c_in), and touches exactly ancilla_used(n) ancilla, a prefix.
     for k in [None, *range(1 << n)]:
         w = comparator_wiring(n, k is not None, carry_in)
         gates = carry_out_gates(w, k)
         touched = {wire for g in gates for wire in g.wires()} & set(w.ancilla)
-        assert touched == set(w.ancilla[: ancilla_required_plus_k(n)]), (n, k)
+        assert touched == set(w.ancilla[: ancilla_used(n)]), (n, k)
 
         rows = oracle.adder_inputs(w, w.width)
         ins = np.vstack([rows, rows])
@@ -180,23 +180,19 @@ def test_ripple_depth_grows_linearly():
 
 def test_adders_use_declared_ancilla_budget():
     for n in (3, 5, 8):
-        built = build_cla_adder(n, True, True)
-        assert len(built.wiring.ancilla) == ancilla_required(n)
-        built = build_plus_k(n, 1, True, True)
-        assert len(built.wiring.ancilla) == ancilla_required_plus_k(n)
+        for built in (build_cla_adder(n, True, True), build_plus_k(n, 1, True, True)):
+            assert len(built.wiring.ancilla) == ancilla_used(n)
 
 
 @pytest.mark.parametrize("carry_in,carry_out", VARIANTS)
 def test_cla_touches_a_prefix_of_its_ancilla(carry_in, carry_out):
-    # README: the CLA touches a prefix of its ancilla, ancilla_required_plus_k(n) of them with a
-    # carry-out and at most that many without, so A+B leaves its last reserved ancilla idle.
+    # README: the CLA touches every one of its ancilla_used(n) ancilla with a carry-out and
+    # a prefix of them without, so no reserved ancilla sits idle under a carry-out.
     for n in range(1, 129):
         for built in (build_cla_adder(n, carry_in, carry_out), build_plus_k(n, (1 << n) - 1, carry_in, carry_out)):
             ancilla = built.wiring.ancilla
             touched = {w for g in built.circuit.gates for w in g.wires()} & set(ancilla)
-            count, bound = len(touched), ancilla_required_plus_k(n)
-            assert touched == set(ancilla[:count]), n
-            assert (count == bound) if carry_out else (count <= bound), n
+            assert touched == set(ancilla if carry_out else ancilla[: len(touched)]), n
 
 
 @pytest.mark.parametrize("carry_in,carry_out", VARIANTS)
