@@ -4,16 +4,15 @@ Exit codes: 0 on success or a passing verification, 1 when verification
 finds a counterexample, 2 on usage errors or an infeasible build request,
 141 when the reader of standard output closes it early.
 
-Sampling uses numpy's default PCG64 generator so a (seed, samples) pair
-reproduces the exact same verification run.  Each input wire's bits are drawn
-as whole 64-row words, so a seed selects other rows than the earlier
-row-by-row sampler did; ``--exhaustive`` rows are the same as ever.
+Sampling draws each input wire's bits as whole 64-row words from numpy's
+default PCG64 generator, so a (seed, samples) pair reproduces the same run.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import itertools
+import operator
 import os
 import sys
 from pathlib import Path
@@ -115,19 +114,19 @@ def build_kind(args) -> tuple[Circuit, AdderWiring | None]:
 def _input_planes(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> sim.Planes:
     """Binary inputs on wires ``cols``, one plane each, and 0 on every other wire.  Row i of
     the exhaustive sweep holds the bits of i, most significant first (``itertools.product``
-    order); sampled, each input wire's words are drawn in turn from PCG64 with ``seed``."""
+    order); sampled, each input wire's 64-row words are drawn in turn from PCG64 with ``seed``."""
     free = len(cols)
     if exhaustive:
         _require(free <= 20, f"exhaustive sweep over 2^{free} inputs exceeds {EXHAUSTIVE_LIMIT}")
-        n, word = 1 << free, np.arange(-(-(1 << free) // 64), dtype=np.uint64)
-        # Index bit t of row 64 * word + r is bit t of r below 6, and bit t - 6 of word above.
-        bits = [np.full(len(word), sum(1 << r for r in range(64) if r >> t & 1), np.uint64) if t < 6
-                else (word >> np.uint64(t - 6) & np.uint64(1)) * ~np.uint64(0) for t in reversed(range(free))]
+        n = 1 << free
+        bits = []
+        for k in range(free):
+            # Index bits k-1..0 of 2^(k+1) rows: the first 2^k rows twice, then bit k.
+            bits = [((1 << (1 << k)) - 1) << (1 << k)] + [p | p << (1 << k) for p in bits]
     else:
         n = samples
-        bits = np.random.default_rng(seed).integers(0, ~np.uint64(0), (free, -(-n // 64)), np.uint64, endpoint=True)
-    bits = np.asarray(bits)
-    bits &= sim.row_mask(n)
+        words = np.random.default_rng(seed).integers(0, ~np.uint64(0), (free, -(-n // 64)), np.uint64, endpoint=True)
+        bits = [int.from_bytes(w.astype("<u8").tobytes(), "little") & ((1 << n) - 1) for w in words]
     plane = dict(zip(cols, bits))
     return sim.Planes([[plane[w]] if w in plane else [] for w in range(width)], n)
 
@@ -135,21 +134,21 @@ def _input_planes(width: int, cols: list[int], exhaustive: bool, samples: int, s
 def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: sim.Planes) -> sim.Planes:
     """Independent oracle for each circuit kind on binary input planes: a compressor's truth
     table as an OR of input-literal cubes per output plane, and for an adder a ripple-carry on
-    words over the layout's bit columns (A, or the constant ``k`` when the layout has no A), not
+    planes over the layout's bit columns (A, or the constant ``k`` when the layout has no A), not
     the circuits' carry-lookahead.  Wires outside B and the carry-out keep their input planes."""
     bit = [planes[0] if planes else None for planes in ins.wires]
+    ones = (1 << len(ins)) - 1
     if layout is None:
         table = TABLE_231 if kind == "compress231" else TABLE_241
-        cube = {row: functools.reduce(np.bitwise_and, [x if v else ~x for x, v in zip(bit, row)]) for row in table}
-        zero = np.zeros_like(bit[0])
+        cube = {row: functools.reduce(operator.and_, [x if v else x ^ ones for x, v in zip(bit, row)]) for row in table}
         # Plane b of wire w: the rows whose output digit on w has bit b set; digits are below 4.
-        return sim.Planes([[functools.reduce(np.bitwise_or, [cube[row] for row in table if table[row][w] >> b & 1], zero)
+        return sim.Planes([[functools.reduce(operator.or_, [cube[row] for row in table if table[row][w] >> b & 1], 0)
                             for b in (0, 1)] for w in range(len(bit))], ins.n)
 
     exp = list(ins.wires)
-    carry = bit[layout.carry_in] if layout.carry_in is not None else np.uint64(0)
+    carry = bit[layout.carry_in] if layout.carry_in is not None else 0
     for i, col in enumerate(layout.b):
-        a = bit[layout.a[i]] if layout.a else ~np.uint64(0) * np.uint64(k >> i & 1)
+        a = bit[layout.a[i]] if layout.a else ones * (k >> i & 1)
         b = bit[col]
         exp[col] = [a ^ b ^ carry]
         carry = (a & b) | (carry & (a ^ b))
@@ -170,12 +169,11 @@ def run_verify(args) -> int:
     ins = _input_planes(circ.width, cols, args.exhaustive, args.samples, args.seed)
     exp = expected_outputs(kind, args.k, layout, ins)
     out, _ = sim.run_batch(circ, ins)
-    # Rows where any plane differs; a wire's unlisted planes are 0.
-    diff = sim.row_mask(len(ins)) & functools.reduce(np.bitwise_or, (
+    # Rows where any plane differs; a wire's unlisted planes are 0, and every plane is below 2**n.
+    diff = functools.reduce(operator.or_, (
         g ^ e for got, want in zip(out.wires, exp.wires) for g, e in itertools.zip_longest(got, want, fillvalue=0)), 0)
-    if diff.any():
-        word = int(np.flatnonzero(diff)[0])
-        r = 64 * word + (int(diff[word]) & -int(diff[word])).bit_length() - 1
+    if diff:
+        r = (diff & -diff).bit_length() - 1
         print(
             f"FAIL {kind}: input={','.join(map(str, ins.row(r)))} "
             f"expected={','.join(map(str, exp.row(r)))} got={','.join(map(str, out.row(r)))}"

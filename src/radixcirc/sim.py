@@ -3,12 +3,11 @@ tracks one digit per wire: ``run`` for a single basis state, and ``run_batch``
 for many at once, for verification sweeps.  Both read what a flip or increment
 does to a digit from ``ir.image``.
 
-``run_batch`` is bit-sliced (Biham, FSE 1997) and works on ``Planes``: a
-wire of dimension d holds its digit in ceil(log2 d) planes, and plane b is
-an array of ``uint64`` words whose bit r % 64 of word r // 64 is bit b of
-row r's digit, with the rows padded to a multiple of 64.  ``Planes`` is its
-only batch form, in and out: ``radixcirc verify`` draws, checks and
-compares its batches as planes, and never builds a dense matrix.
+``run_batch`` is bit-sliced (Biham, FSE 1997) and works on ``Planes``, its
+only batch form, in and out: a wire of dimension d holds its digit in
+ceil(log2 d) planes, and plane b is a Python int whose bit r is bit b of row
+r's digit.  ``run_batch`` checks the planes and masks them to n bits, and
+``run_gates``, the gate loop, needs of a plane only ``&``, ``|`` and ``^``.
 A control ``(w, v)`` is the AND of wire w's plane literals for v; codes d
 and above never occur, so literals that only exclude them are dropped (on a
 qutrit, digit 2 is plane 1 alone).  A flip or increment XORs into each plane
@@ -16,8 +15,8 @@ b of its target the AND of its controls with the OR of the target digits
 whose image differs from them in bit b; that toggle table is computed once
 per (kind, params, dim).  An uncontrolled X costs one XOR, an uncontrolled
 swap exchanges the two wires' planes, and a controlled swap is a masked
-XOR-swap of each plane pair.  A gate thus costs a few word operations over
-N/64 words per plane for N rows.
+XOR-swap of each plane pair.  A gate thus costs a few n-bit int operations
+per plane for n rows.
 
 ``track_max`` stays exact.  Digit 3 on a ququart needs both of its bits set
 in the same row at once, so OR-ing each plane over time would overstate the
@@ -29,6 +28,7 @@ only exchanges digits already present.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -78,11 +78,10 @@ def run(c: Circuit, s: BasisState) -> BasisState:
 
 @dataclass
 class Planes:
-    """A batch of ``n`` basis states: ``wires[w][b]`` is bit b of wire w's digits
-    as ``-(-n // 64)`` ``uint64`` words, row r at bit r % 64 of word r // 64.  A
-    plane a wire does not list is 0, and rows n and above are padding."""
+    """A batch of ``n`` basis states: ``wires[w][b]`` is bit b of wire w's digits as one
+    Python int, row r at bit r.  A plane a wire does not list is 0; bits n and up are ignored."""
 
-    wires: list[list[np.ndarray]]
+    wires: list[list[int]]
     n: int
 
     def __len__(self) -> int:
@@ -90,13 +89,7 @@ class Planes:
 
     def row(self, r: int) -> list[int]:
         """Row ``r``'s digit on each wire."""
-        word, bit = divmod(r, 64)
-        return [sum((int(p[word]) >> bit & 1) << b for b, p in enumerate(planes)) for planes in self.wires]
-
-
-def row_mask(n: int) -> np.ndarray:
-    """The words whose set bits are exactly rows 0..n-1."""
-    return np.where(np.arange(-(-n // 64)) < n // 64, ~np.uint64(0), np.uint64((1 << n % 64) - 1))
+        return [sum((p >> r & 1) << b for b, p in enumerate(planes)) for planes in self.wires]
 
 
 Literal = tuple[int, bool]  # (plane index, whether the bit is set)
@@ -124,6 +117,7 @@ def _cover(digits: frozenset[int], dim: int) -> tuple[Cube, ...]:
     return tuple(cubes)
 
 
+@functools.lru_cache(maxsize=1024)
 def _eq_cube(v: int, dim: int) -> Cube:
     """The literals whose AND holds exactly where a wire of ``dim`` holds ``v``."""
     return _cover(frozenset((v,)), dim)[0]
@@ -150,64 +144,38 @@ def _lowering(kind: str, params: tuple[int, ...], dim: int):
     return groups, moved
 
 
-def _and(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """AND of two word arrays, where None stands for all ones."""
+def _and(a, b):
+    """AND of two planes, where None stands for all ones."""
     if a is None:
         return b
     return a if b is None else a & b
 
 
-def _eval_cube(planes: list[np.ndarray], cube: Cube) -> np.ndarray | None:
+def _eval_cube(planes: list, cube: Cube, ones):
     acc = None
     for b, bit_set in cube:
-        acc = _and(acc, planes[b] if bit_set else ~planes[b])
+        acc = _and(acc, planes[b] if bit_set else planes[b] ^ ones)
     return acc
 
 
-def _eval_cover(planes: list[np.ndarray], cubes: tuple[Cube, ...]) -> np.ndarray | None:
-    acc = _eval_cube(planes, cubes[0])
-    for cube in cubes[1:]:
-        x = _eval_cube(planes, cube)
-        if acc is None or x is None:
-            return None
-        acc = acc | x
-    return acc
+def _eval_cover(planes: list, cubes: tuple[Cube, ...], ones):
+    # Only a cover of every code below dim has an empty cube (None), and then no other.
+    return functools.reduce(operator.or_, (_eval_cube(planes, cube, ones) for cube in cubes))
 
 
-def _top(planes: list[np.ndarray], valid: np.ndarray) -> int:
-    """The largest code the ``planes`` of one wire hold on a row set in ``valid``."""
-    codes = 1 << len(planes)
-    return next((v for v in reversed(range(1, codes)) if (_eval_cube(planes, _eq_cube(v, codes)) & valid).any()), 0)
+def run_gates(planes: list[list], dims: tuple[int, ...], gates, ones, floor: int | None = None) -> dict:
+    """Apply ``gates`` in place to ``planes``, wire w's ceil(log2 dims[w]) planes at ``planes[w]``.
 
-
-def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Planes, int]:
-    """Run a ``Planes`` batch of basis states at once, 64 to a machine word.
-
-    ``states`` has one entry per wire of ``c``, and its digits on rows below
-    ``n`` lie in ``[0, dim)`` of their wires, else ``ValueError``; it is not
-    modified.  Returns the outputs as a ``Planes`` with ceil(log2 dim) planes
-    per wire and, when ``track_max`` is set, the largest digit observed on any
-    wire at any point during execution (inputs included), else 0.  Padding
-    rows are neither checked nor counted.
+    An operand needs only ``&``, ``|`` and ``^``: ``ones``, the all-ones operand, replaces
+    ``~`` (a negative number on a Python int), and None stands for it in masks.  With
+    ``floor`` set, returns each digit above ``floor`` that a flip or increment put on its
+    target, with the rows where it did; else ``{}``.
     """
-    dims = c.dims
-    if len(states.wires) != c.width:
-        raise ValueError(f"expected {c.width} wires, got {len(states.wires)}")
-    n = states.n
-    valid = row_mask(n)
-    top = [_top(p, valid) for p in states.wires]
-    bad = [w for w, (t, dim) in enumerate(zip(top, dims)) if t >= dim]
-    if bad:
-        raise ValueError(f"wire {bad[0]} holds a digit outside [0, {dims[bad[0]]})")
-    # Unlisted planes are zero; planes past ceil(log2 dim) are, as just checked.
-    zero = np.zeros_like(valid)
-    planes = [p[:nb] + [zero] * (nb - len(p)) for p, nb in zip(states.wires, ((d - 1).bit_length() for d in dims))]
-    input_max = max(top, default=0) if track_max else 0
-    seen: dict[int, np.ndarray] = {}  # digit -> rows where a gate put it on its target
-    for g in c.gates:
+    seen: dict = {}
+    for g in gates:
         mask = None
         for w, v in g.controls:
-            mask = _and(mask, _eval_cube(planes[w], _eq_cube(v, dims[w])))
+            mask = _and(mask, _eval_cube(planes[w], _eq_cube(v, dims[w]), ones))
         if g.kind == SWAP:
             t0, t1 = g.targets
             if mask is None:
@@ -222,14 +190,48 @@ def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Plan
         p = planes[t]
         groups, moved = _lowering(g.kind, g.params, dims[t])
         # Every toggle reads the target's planes as they were before the gate.
-        toggles = [(_and(mask, _eval_cover(p, cubes)), bits) for cubes, bits in groups]
+        toggles = [(_and(mask, _eval_cover(p, cubes, ones)), bits) for cubes, bits in groups]
         for x, bits in toggles:
             for b in bits:
-                p[b] = ~p[b] if x is None else p[b] ^ x
-        if track_max:
+                p[b] ^= ones if x is None else x
+        if floor is not None:
             for v, cube in moved:
-                if v > input_max:
-                    hit = _and(mask, _eval_cube(p, cube))
+                if v > floor:
+                    hit = _and(mask, _eval_cube(p, cube, ones))
                     seen[v] = hit if v not in seen else seen[v] | hit
-    max_digit = max([v for v, rows in seen.items() if (rows & valid).any()], default=input_max)
-    return Planes(planes, n), max_digit
+    return seen
+
+
+def _top(planes: list[int], ones: int) -> int:
+    """The largest code the ``planes`` of one wire hold on a row set in ``ones``."""
+    codes = 1 << len(planes)
+    return next((v for v in reversed(range(1, codes)) if _eval_cube(planes, _eq_cube(v, codes), ones)), 0)
+
+
+def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Planes, int]:
+    """Run a ``Planes`` batch of basis states through ``c`` with ``run_gates``.
+
+    ``states`` has one entry per wire of ``c``, each plane a Python int, and its digits
+    on rows below ``n`` lie in ``[0, dim)`` of their wires, else ``ValueError``; it is
+    not modified.  Returns the outputs, ceil(log2 dim) planes per wire below ``2**n``,
+    and, when ``track_max`` is set, the largest digit on any wire at any point during
+    execution (inputs included), else 0.  Bits n and above are neither checked nor counted.
+    """
+    dims = c.dims
+    if len(states.wires) != c.width:
+        raise ValueError(f"expected {c.width} wires, got {len(states.wires)}")
+    for w, p in enumerate(states.wires):
+        if not all(isinstance(x, int) for x in p):
+            raise ValueError(f"wire {w} has a plane that is not a Python int")
+    ones = (1 << states.n) - 1
+    wires = [[x & ones for x in p] for p in states.wires]
+    widths = [(d - 1).bit_length() for d in dims]
+    top = [_top(p[:nb], ones) for p, nb in zip(wires, widths)]
+    bad = [w for w, (p, nb, t, dim) in enumerate(zip(wires, widths, top, dims)) if t >= dim or any(p[nb:])]
+    if bad:
+        raise ValueError(f"wire {bad[0]} holds a digit outside [0, {dims[bad[0]]})")
+    # Unlisted planes are zero; planes past ceil(log2 dim) are, as just checked.
+    planes = [p[:nb] + [0] * (nb - len(p)) for p, nb in zip(wires, widths)]
+    floor = max(top, default=0) if track_max else None
+    seen = run_gates(planes, dims, c.gates, ones, floor)
+    return Planes(planes, states.n), max([v for v, rows in seen.items() if rows], default=floor or 0)

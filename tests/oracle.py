@@ -3,8 +3,9 @@
 basis-state sweeps, the reference document ``ir.dumps`` must write
 (``circuit_to_dict``), and the only conversions between dense (n, width)
 rows and ``sim.Planes`` (``to_planes``, ``from_planes``), written with
-numpy's bit packing.  ``run_rows`` runs ``sim.run_batch``, which takes
-``Planes`` only, on dense rows through them.
+numpy's bit packing and ``int.from_bytes``/``int.to_bytes``.  ``run_rows``
+runs ``sim.run_batch``, which takes ``Planes`` only, on dense rows through
+them.
 
 The statevector engine defines the gate semantics itself (``_digit_map``),
 so comparing it with ``sim.run`` and ``sim.run_batch`` compares two
@@ -68,11 +69,11 @@ def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) ->
 
 def to_planes(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Planes:
     """Dense (n, width) digits as ``Planes``, ceil(log2 dim) planes per wire, with
-    every padding bit set to ``padding``.  A digit those planes cannot hold
-    (negative, or 2^ceil(log2 dim) or more) raises ``ValueError``."""
+    every bit at and above n of each plane set to ``padding``.  A digit those
+    planes cannot hold (negative, or 2^ceil(log2 dim) or more) raises ``ValueError``."""
     states = np.asarray(states)
     n = len(states)
-    bits = np.full(-(-n // 64) * 64, padding, dtype=np.uint8)
+    high = -1 << n if padding else 0  # a Python int with every bit from n up set
     wires = []
     for w, dim in enumerate(dims):
         n_bits = (dim - 1).bit_length()
@@ -80,8 +81,8 @@ def to_planes(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Pl
             raise ValueError(f"wire {w} holds a digit that does not fit {n_bits} planes")
         planes = []
         for b in range(n_bits):
-            bits[:n] = states[:, w] >> b & 1
-            planes.append(np.packbits(bits, bitorder="little").view(np.uint64))
+            packed = np.packbits((states[:, w] >> b & 1).astype(np.uint8), bitorder="little")
+            planes.append(int.from_bytes(packed.tobytes(), "little") | high)
         wires.append(planes)
     return Planes(wires, n)
 
@@ -90,8 +91,9 @@ def from_planes(p: Planes, dtype=np.int64) -> np.ndarray:
     """The (n, width) digits of the first ``p.n`` rows of ``p``."""
     out = np.zeros((p.n, len(p.wires)), dtype=dtype)
     for w, planes in enumerate(p.wires):
-        for b, words in enumerate(planes):
-            bits = np.unpackbits(np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8), bitorder="little")
+        for b, plane in enumerate(planes):
+            packed = (plane & (1 << p.n) - 1).to_bytes(-(-p.n // 8), "little")
+            bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
             out[:, w] |= bits[:p.n].astype(dtype) << b
     return out
 

@@ -101,6 +101,14 @@ def test_run_batch_rejects_digits_outside_dim(row):
         sim.run_batch(c, states)
 
 
+def test_run_batch_range_check_reads_extra_planes_without_listing_their_codes():
+    # 40 planes on a qubit wire hold 2^40 codes; only a set bit above plane 0 is out of range.
+    c = ir.extend(ir.new_circuit([Wire("a", 2)]), [ir.x(0)])
+    assert sim.run_batch(c, sim.Planes([[1] + [0] * 39], 1))[0].wires == [[0]]
+    with pytest.raises(ValueError, match="outside"):
+        sim.run_batch(c, sim.Planes([[1] + [0] * 38 + [1]], 1))
+
+
 @pytest.mark.parametrize("row", [
     pytest.param([0, 0, -1], id="negative-on-a-ququart"),
     pytest.param([0, 4, 0], id="4-on-a-qutrit"),
@@ -112,9 +120,23 @@ def test_to_planes_rejects_digits_its_planes_cannot_hold(row):
 
 
 def test_run_batch_max_digit_ignores_padding_rows():
-    # The one row fails the control; the zero padding rows meet it and reach digit 2.
-    c = ir.extend(ir.new_circuit([Wire("a", 3), Wire("b", 3)]), [ir.incr(0, 2, [(1, 0)])])
-    assert sim.run_batch(c, oracle.to_planes(np.array([[0, 1]]), c.dims), track_max=True)[1] == 1
+    # The one row goes 0, 1, 0.  Every bit from 1 up is set, so the rows there hold 3,
+    # which the first gate takes to 0 and the second back to 3.
+    c = ir.extend(ir.new_circuit([Wire("a", 4)]), [ir.incr(0, 1), ir.incr(0, 3)])
+    assert sim.run_batch(c, oracle.to_planes(np.array([[0]]), c.dims, padding=1), track_max=True)[1] == 1
+
+
+@pytest.mark.parametrize("plane", [
+    pytest.param(np.ones(1, np.uint64), id="one-uint64-word-for-200-rows"),
+    pytest.param(np.int64(1), id="int64"),
+    pytest.param(1.0, id="float"),
+])
+def test_run_batch_rejects_planes_that_are_not_ints(plane):
+    c = mixed_circuit()
+    states = oracle.to_planes(np.array([[1, 2, 3]] * 200), c.dims)
+    states.wires[0] = [plane]
+    with pytest.raises(ValueError, match="wire 0 "):
+        sim.run_batch(c, states)
 
 
 def test_statevector_agrees_with_basis_run():
@@ -173,9 +195,9 @@ def circuit_and_state(draw):
 
 @st.composite
 def circuit_and_batch(draw):
-    """A circuit and a batch: empty, one row, row counts on both sides of the
-    64-row word, and 1089 rows of 18 words.  Digits stay below ``high`` so the
-    gates, not the inputs, often set the largest digit."""
+    """A circuit and a batch: empty, one row, row counts on both sides of 64
+    and 128, and 1089 rows.  Digits stay below ``high`` so the gates, not the
+    inputs, often set the largest digit."""
     c = draw(circuits())
     n = draw(st.sampled_from([0, 1, 63, 64, 65, 129, 1089]))
     high = draw(st.integers(1, 5))
@@ -204,6 +226,23 @@ def test_property_batch_and_statevector_agree(cs):
     assert v.amps[oracle.state_index(out.digits, c.dims)] == pytest.approx(1.0)
 
 
+class Bits:
+    """A plane that defines only ``&``, ``|`` and ``^`` (no ``~``): all that
+    ``sim.run_gates`` may ask of an operand, as a BDD node class would offer."""
+
+    def __init__(self, v: int):
+        self.v = v
+
+    def __and__(self, o):
+        return Bits(self.v & o.v)
+
+    def __or__(self, o):
+        return Bits(self.v | o.v)
+
+    def __xor__(self, o):
+        return Bits(self.v ^ o.v)
+
+
 @settings(max_examples=80, deadline=None)
 @given(circuit_and_batch())
 def test_property_batch_matches_scalar_steps(cb):
@@ -217,12 +256,12 @@ def test_property_batch_matches_scalar_steps(cb):
             s = sim.run(step, s)
             want_max = max(want_max, *s.digits)
         want.append(s.digits)
-    # Every padding bit set: padding is never checked, and never counts toward
-    # the largest digit.  The input is not modified.
+    # Every bit at and above n set: those bits are never checked, and never count
+    # toward the largest digit.  The input is not modified.
     ins = oracle.to_planes(states, c.dims, padding=1)
-    before = [[x.copy() for x in planes] for planes in ins.wires]
+    before = [list(planes) for planes in ins.wires]
     out, max_digit = sim.run_batch(c, ins, track_max=True)
-    assert all((x == y).all() for p, q in zip(before, ins.wires, strict=True) for x, y in zip(p, q, strict=True))
+    assert before == ins.wires
     assert isinstance(out, sim.Planes) and len(out) == len(states)
     assert [len(p) for p in out.wires] == [(d - 1).bit_length() for d in c.dims]
     rows = oracle.from_planes(out)
@@ -230,6 +269,13 @@ def test_property_batch_matches_scalar_steps(cb):
     assert max_digit == want_max
     untracked, zero = sim.run_batch(c, ins)
     assert (oracle.from_planes(untracked) == rows).all() and zero == 0
+    # The gate loop alone, on operands without ``~``, gives the same rows and digits.
+    ones = (1 << len(states)) - 1
+    floor = int(states.max(initial=0))
+    planes = [[Bits(x & ones) for x in p] for p in ins.wires]
+    seen = sim.run_gates(planes, c.dims, c.gates, Bits(ones), floor)
+    assert (oracle.from_planes(sim.Planes([[x.v for x in p] for p in planes], len(states))) == rows).all()
+    assert max([v for v, hit in seen.items() if hit.v], default=floor) == max_digit
 
 
 @pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
