@@ -187,7 +187,7 @@ def run_verify(args) -> int:
 
 def cmd_build(args) -> int:
     circ, _ = build_kind(args)
-    text = ir.dumps(circ, indent=2)
+    text = ir.dumps(circ)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

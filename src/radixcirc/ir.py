@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
 
 FLIP = "flip"
@@ -255,100 +254,84 @@ def depth(c: Circuit) -> int:
 
 # --- JSON interchange ---------------------------------------------------
 
-def circuit_from_dict(d: dict) -> Circuit:
-    """The circuit a parsed ``dumps`` document describes; every distinct gate is validated.
+FORMAT = 1  # the version ``dumps`` writes; a document without "format" is version 0
 
-    Repeats of a gate share one frozen ``Gate`` object, which is constructed
-    and validated once: validation depends only on the gate and the wires.
-    Every value's JSON type and every required field is checked, so a
-    malformed document raises ``CircuitError``.  Gate field types are
-    checked on every gate first, because ``True == 1 == 1.0`` would let a
-    bool or float field match an int gate's sharing key.
-    """
-    if type(d) is not dict or type(d.get("wires")) is not list or type(d.get("gates")) is not list:
+
+def _format0_as_format1(d: dict) -> dict:
+    """A format-0 document, ``{"wires": [{"name", "dim"}], "gates": [{"kind", "targets",
+    "params", "controls": [{"wire", "value"}]}]}``, as format 1 with one table row per
+    gate.  Only its objects are unpacked here; the format-1 checks see every value."""
+    if type(d.get("wires")) is not list or type(d.get("gates")) is not list:
         raise CircuitError("a circuit document must be an object with 'wires' and 'gates' lists")
-    wires = []
-    for i, w in enumerate(d["wires"]):
-        if type(w) is not dict or type(w.get("name")) is not str or type(w.get("dim")) is not int:
-            raise CircuitError(f"wire {i} must be an object with a string name and an int dim, got {w!r}")
-        wires.append(Wire(w["name"], w["dim"]))
-    c = new_circuit(wires)
-    shared: dict[tuple, Gate] = {}
+    rows = []
     for g in d["gates"]:
         if type(g) is not dict:
             raise CircuitError(f"a gate must be an object, got {g!r}")
+        ctl = g.get("controls", [])
         try:
-            kind, targets, params, ctl = g["kind"], g["targets"], g["params"], g.get("controls", [])
-            if type(targets) is not list or type(params) is not list or type(ctl) is not list:
-                raise CircuitError(f"gate targets, params and controls must be lists, got {targets!r}, {params!r}, {ctl!r}")
-            controls = []
-            for ct in ctl:
-                if type(ct) is not dict:
-                    raise CircuitError(f"a gate control must be an object, got {ct!r}")
-                controls.append((ct["wire"], ct["value"]))
+            if type(ctl) is list:
+                ctl = [[ct["wire"], ct["value"]] if type(ct) is dict else None for ct in ctl]
+            rows.append([g["kind"], g["targets"], g["params"], ctl])
         except KeyError as e:
             raise CircuitError(f"a gate or its control lacks the field {e}: {g!r}") from None
-        targets, params, controls = tuple(targets), tuple(params), tuple(controls)
-        if type(kind) is not str:
-            raise CircuitError(f"gate kind must be a string, got {kind!r}")
-        for v in targets + params + sum(controls, ()):
+    wires = [[w.get("name"), w.get("dim")] if type(w) is dict else None for w in d["wires"]]
+    return {**d, "format": FORMAT, "wires": wires, "table": rows, "gates": list(range(len(rows)))}
+
+
+def circuit_from_dict(d: dict) -> Circuit:
+    """The circuit a parsed ``dumps`` document describes; each table row is validated once.
+
+    Gates that share a row are one frozen ``Gate`` object: validation depends
+    only on the gate and the wires.  Every key, JSON type and row index is
+    checked, so a malformed document raises ``CircuitError``; an int field
+    must be a JSON int, as ``True == 1 == 1.0``.
+    """
+    if type(d) is dict and "format" not in d and "table" not in d:
+        d = _format0_as_format1(d)
+    if (type(d) is not dict or d.keys() != {"format", "wires", "table", "gates"} or type(d["format"]) is not int
+            or d["format"] != FORMAT or any(type(d[k]) is not list for k in ("wires", "table", "gates"))):
+        raise CircuitError(f"a circuit document must be an object with exactly the keys format ({FORMAT}) "
+                           "and the lists wires, table and gates")
+    for i, w in enumerate(d["wires"]):
+        if type(w) is not list or len(w) != 2 or type(w[0]) is not str or type(w[1]) is not int:
+            raise CircuitError(f"wire {i} must be a [name, dim] pair with a string name and an int dim, got {w!r}")
+    c = new_circuit([Wire(*w) for w in d["wires"]])
+    table = []
+    for row in d["table"]:
+        if (type(row) is not list or len(row) != 4 or type(row[0]) is not str
+                or any(type(f) is not list for f in row[1:])):
+            raise CircuitError(f"a table row must be [kind, targets, params, controls], a string and three lists, got {row!r}")
+        kind, targets, params, ctl = row
+        if any(type(ct) is not list or len(ct) != 2 for ct in ctl):
+            raise CircuitError(f"gate controls must be [wire, value] pairs, got {ctl!r}")
+        for v in targets + params + [x for ct in ctl for x in ct]:
             if type(v) is not int:
                 raise CircuitError(f"gate targets, params and controls must be ints, got {v!r}")
-        key = (kind, targets, params, controls)
-        gate = shared.get(key)
-        if gate is None:
-            gate = shared[key] = Gate(*key)
-            c.validate_gate(gate)
-        c.gates.append(gate)
+        table.append(Gate(kind, tuple(targets), tuple(params), tuple(map(tuple, ctl))))
+        c.validate_gate(table[-1])
+    for i in d["gates"]:
+        if type(i) is not int or not 0 <= i < len(table):
+            raise CircuitError(f"a gate must be the index of one of the {len(table)} table rows, got {i!r}")
+    c.gates = [table[i] for i in d["gates"]]
     return c
 
 
-def dumps(c: Circuit, indent: int | None = None) -> str:
-    """The interchange text: exactly what ``json.dumps(doc, indent=indent)`` writes for
-    the document ``{"wires": [{"name", "dim"}], "gates": [{"kind", "targets",
-    "params", "controls": [{"wire", "value"}]}]}``, fields in that order.
-
-    Written directly rather than through ``json``, whose pure-Python encoder
-    (forced by ``indent``) dominates the cost on large circuits.  Names are
-    escaped by the stdlib's own ASCII string encoder; gate fields are ints.
-    Each distinct gate is formatted once.
-    """
-    # brk[l] opens a line at nesting level l; sep[l] separates items at level l.
-    if indent is None:
-        brk, sep = [""] * 6, [", "] * 6
-    else:
-        brk = ["\n" + " " * (indent * level) for level in range(6)]
-        sep = ["," + b for b in brk]
-
-    def array(items: list[str], level: int) -> str:
-        if not items:
-            return "[]"
-        return "[" + brk[level + 1] + sep[level + 1].join(items) + brk[level] + "]"
-
-    def obj(fields: list[tuple[str, str]], level: int) -> str:
-        body = sep[level + 1].join(f'"{k}": {v}' for k, v in fields)
-        return "{" + brk[level + 1] + body + brk[level] + "}"
-
-    wires = [obj([("name", _encode_str(w.name)), ("dim", str(w.dim))], 2) for w in c.wires]
-    texts: dict[Gate, str] = {}
-    gates = []
-    for g in c.gates:
-        text = texts.get(g)
-        if text is None:
-            controls = [obj([("wire", str(w)), ("value", str(v))], 4) for w, v in g.controls]
-            text = texts[g] = obj([
-                ("kind", _encode_str(g.kind)),
-                ("targets", array([str(t) for t in g.targets], 3)),
-                ("params", array([str(p) for p in g.params], 3)),
-                ("controls", array(controls, 3)),
-            ], 2)
-        gates.append(text)
-    return obj([("wires", array(wires, 1)), ("gates", array(gates, 1))], 0)
+def dumps(c: Circuit) -> str:
+    """The format-1 interchange text ``{"format": 1, "wires": [[name, dim]], "table":
+    [[kind, targets, params, [[wire, value]]]], "gates": [row]}``: each distinct gate is
+    one table row, in order of first use.  ``{`` and each key, wire and row start a
+    line, ``gates`` is one line, and ``json.dumps`` writes every value."""
+    rows: dict[Gate, int] = {}
+    index = [rows.setdefault(g, len(rows)) for g in c.gates]
+    wires = ",\n".join(json.dumps([w.name, w.dim]) for w in c.wires)
+    table = ",\n".join(json.dumps([g.kind, g.targets, g.params, g.controls]) for g in rows)
+    return (f'{{\n"format": {FORMAT},\n"wires": [\n{wires}\n],\n"table": [\n{table}\n],\n'
+            f'"gates": {json.dumps(index)}\n}}')
 
 
 def loads(s: str) -> Circuit:
-    """The circuit a ``dumps`` text describes.  Text that is not JSON, nests too
-    deep or holds an integer too long to parse raises ``CircuitError``."""
+    """The circuit a ``dumps`` text, or a format-0 text, describes.  Text that is not
+    JSON, nests too deep or holds an integer too long to parse raises ``CircuitError``."""
     try:
         doc = json.loads(s)
     except (ValueError, RecursionError) as e:

@@ -115,8 +115,8 @@ CSV_FIELDS = (
 )
 
 
-def to_json(r: ResourceReport, indent: int | None = 2) -> str:
-    return json.dumps(r.to_dict(), indent=indent)
+def to_json(r: ResourceReport) -> str:
+    return json.dumps(r.to_dict(), indent=2)
 
 
 def csv_header() -> str:

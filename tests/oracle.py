@@ -1,6 +1,7 @@
 """Independent test oracle: the adder contract as big-integer arithmetic
 (``adder_inputs``, ``adder_outputs``), a dense statevector simulator,
-basis-state sweeps, the reference document ``ir.dumps`` must write
+basis-state sweeps, the reference format-1 document ``ir.dumps`` must write
+(``circuit_to_doc``) and the format-0 document earlier versions wrote
 (``circuit_to_dict``), and the only conversions between dense (n, width)
 rows and ``sim.Planes`` (``to_planes``, ``from_planes``), written with
 numpy's bit packing and ``int.from_bytes``/``int.to_bytes``.  ``run_rows``
@@ -117,7 +118,26 @@ def interface_states(c: Circuit) -> Iterator[BasisState]:
     return all_basis_states(c, c.input_bounds)
 
 
+def circuit_to_doc(c: Circuit) -> dict:
+    """The format-1 document: each distinct (kind, targets, params, controls) is one
+    table row, numbered in order of first use, and ``gates`` holds each gate's row."""
+    rows: dict[tuple, int] = {}
+    index = []
+    for g in c.gates:
+        key = (g.kind, tuple(g.targets), tuple(g.params), tuple(tuple(ct) for ct in g.controls))
+        if key not in rows:
+            rows[key] = len(rows)
+        index.append(rows[key])
+    return {
+        "format": 1,
+        "wires": [[w.name, w.dim] for w in c.wires],
+        "table": [[kind, list(t), list(p), [list(ct) for ct in ctl]] for kind, t, p, ctl in rows],
+        "gates": index,
+    }
+
+
 def circuit_to_dict(c: Circuit) -> dict:
+    """The format-0 document: one object per wire and per gate."""
     return {
         "wires": [{"name": w.name, "dim": w.dim} for w in c.wires],
         "gates": [

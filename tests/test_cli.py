@@ -289,10 +289,10 @@ def test_stats_derives_ancilla_generated_from_wires(tmp_path, capsys, flags, wid
     if plan is not None:
         # Wires that differ from the plan's layout in one name or one register dim are not its block adder.
         doc = json.loads(out.read_text())
-        doc["wires"][1]["name"] = "x"
+        doc["wires"][1][0] = "x"
         assert ancilla_generated(json.dumps(doc)) is None
         doc = json.loads(out.read_text())
-        doc["wires"][plan.block_layouts[0].groups[1][0]]["dim"] += 1
+        doc["wires"][plan.block_layouts[0].groups[1][0]][1] += 1
         assert ancilla_generated(json.dumps(doc)) is None
 
 
@@ -327,6 +327,7 @@ def test_verify_corrupted_block_adder_exits_1(tmp_path, capsys):
 
 ONE_GATE = {"kind": "flip", "targets": [0], "params": [0, 1], "controls": []}
 WIRE = {"name": "a", "dim": 2}
+V1 = {"format": 1, "wires": [["a", 2], ["b", 2]], "table": [["flip", [0], [0, 1], []]], "gates": [0]}
 
 
 @pytest.mark.parametrize("doc", [
@@ -335,6 +336,15 @@ WIRE = {"name": "a", "dim": 2}
     pytest.param({"wires": {"a": WIRE}, "gates": []}, id="wires-object"),
     pytest.param([1, 2], id="top-level-list"),
     pytest.param({"wires": [WIRE], "gates": [7]}, id="gate-int"),
+    pytest.param({k: v for k, v in V1.items() if k != "format"}, id="v1-no-format"),
+    pytest.param({**V1, "format": 2}, id="v1-format-2"),
+    pytest.param({**V1, "input_bounds": [2, 2]}, id="v1-unknown-key"),
+    pytest.param({**V1, "wires": [["a", 2], [2, "b"]]}, id="v1-wire-not-name-dim"),
+    pytest.param({**V1, "table": [["flip", [0], [0, 1]]]}, id="v1-row-of-3"),
+    pytest.param({**V1, "table": [["flip", [0], [0, 1], [[1]]]]}, id="v1-control-not-pair"),
+    pytest.param({**V1, "gates": [0, -1]}, id="v1-index-negative"),
+    pytest.param({**V1, "gates": [0, True]}, id="v1-index-true"),
+    pytest.param({**V1, "gates": [0, 1]}, id="v1-index-table-length"),
 ])
 def test_stats_malformed_document_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
@@ -402,10 +412,10 @@ def test_module_entry_point_runs_cli_once():
 
 
 def test_closed_stdout_ends_quietly():
-    # `radixcirc build ... | head -1`: about 970 KB of JSON, far more than a pipe holds, so the
+    # `radixcirc build ... | head -1`: about 430 KB of JSON, far more than a pipe holds, so the
     # write after the reader has gone always hits the closed pipe.
     src = Path(cli.__file__).parents[1]
-    proc = subprocess.Popen([sys.executable, "-m", "radixcirc.cli", "build", "--kind", "cla-adder", "--n", "240"],
+    proc = subprocess.Popen([sys.executable, "-m", "radixcirc.cli", "build", "--kind", "cla-adder", "--n", "960"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.readline() == "{\n"

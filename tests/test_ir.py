@@ -1,6 +1,7 @@
+import functools
 import itertools
 import json
-import os
+import operator
 
 import numpy as np
 import pytest
@@ -121,12 +122,13 @@ def test_depth_serial_chain():
 def test_json_round_trip():
     c = ir.new_circuit(three_wires())
     ir.extend(c, [ir.flip(2, 0, 3, [(0, 1)]), ir.incr(1, 2), ir.x(0)])
-    d = oracle.circuit_to_dict(c)
-    # exact interchange field names
-    assert set(d) == {"wires", "gates"}
-    assert d["wires"][1] == {"name": "b", "dim": 3}
-    g0 = d["gates"][0]
-    assert g0 == {"kind": "flip", "targets": [2], "params": [0, 3], "controls": [{"wire": 0, "value": 1}]}
+    d = json.loads(ir.dumps(c))
+    # exact format-1 layout: each wire a [name, dim] pair, each row [kind, targets, params, controls]
+    assert list(d) == ["format", "wires", "table", "gates"]
+    assert d["format"] == 1
+    assert d["wires"][1] == ["b", 3]
+    assert d["table"][0] == ["flip", [2], [0, 3], [[0, 1]]]
+    assert d["gates"] == [0, 1, 2]
     back = ir.loads(ir.dumps(c))
     assert back.wires == c.wires
     assert back.gates == c.gates
@@ -140,18 +142,10 @@ def test_loads_rejects_invalid_gate():
         ir.loads("{not json")
 
 
-# --- the direct JSON writer against the stdlib encoder ----------------------
+# --- the JSON writer against the reference documents -----------------------
 
 INDENTS = (None, 0, 2)
 CARRIES = list(itertools.product((False, True), repeat=2))
-
-
-def assert_same_text(got: str, want: str) -> None:
-    """Fail at the first differing offset; pytest's own diff of large texts takes minutes."""
-    if got != want:
-        i = len(os.path.commonprefix([got, want]))
-        lo = max(i - 30, 0)
-        pytest.fail(f"texts differ at offset {i}: got {got[lo:i + 30]!r}, want {want[lo:i + 30]!r}")
 
 
 def block_circuits():
@@ -183,15 +177,22 @@ def small_circuits():
     yield "odd-names", ir.extend(odd, [ir.swap(0, 1), ir.incr(0, 2, [(1, 1)])])
 
 
+def assert_reads_back(text: str, c: Circuit) -> None:
+    back = ir.loads(text)
+    assert back.wires == c.wires
+    assert back.gates == c.gates
+    assert back.input_bounds == c.input_bounds
+
+
 @pytest.mark.parametrize("circ", [pytest.param(c, id=name) for name, c in [*block_circuits(), *small_circuits()]])
 def test_dumps_matches_stdlib_encoder(circ):
+    """``dumps`` writes the reference format-1 document, and ``loads`` reads it and
+    the format-0 text of every indent back."""
+    text = ir.dumps(circ)
+    assert json.loads(text) == oracle.circuit_to_doc(circ)
+    assert_reads_back(text, circ)
     for indent in INDENTS:
-        text = ir.dumps(circ, indent=indent)
-        assert_same_text(text, json.dumps(oracle.circuit_to_dict(circ), indent=indent))
-    back = ir.loads(text)
-    assert back.wires == circ.wires
-    assert back.gates == circ.gates
-    assert back.input_bounds == circ.input_bounds
+        assert_reads_back(json.dumps(oracle.circuit_to_dict(circ), indent=indent), circ)
 
 
 @st.composite
@@ -225,11 +226,10 @@ def valid_circuits(draw):
 @settings(max_examples=80, deadline=None)
 @given(valid_circuits(), st.sampled_from(INDENTS))
 def test_property_dumps_matches_stdlib_and_round_trips(c, indent):
-    text = ir.dumps(c, indent=indent)
-    assert_same_text(text, json.dumps(oracle.circuit_to_dict(c), indent=indent))
-    back = ir.loads(text)
-    assert back.wires == c.wires
-    assert back.gates == c.gates
+    text = ir.dumps(c)
+    assert json.loads(text) == oracle.circuit_to_doc(c)
+    assert_reads_back(text, c)
+    assert_reads_back(json.dumps(oracle.circuit_to_dict(c), indent=indent), c)
 
 
 def test_loads_shares_repeated_gates():
@@ -271,7 +271,7 @@ def test_ir_paths_read_dims_a_constant_number_of_times(monkeypatch):
     def dims_reads(n):
         reads.clear()
         circ = bb.build_block_adder(bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n), carry_out=True)
-        back = ir.loads(ir.dumps(circ, indent=2))
+        back = ir.loads(ir.dumps(circ))
         ir.depth(back)
         resources.report(back)
         return len(reads), len(circ.gates)
@@ -286,26 +286,33 @@ def test_ir_paths_read_dims_a_constant_number_of_times(monkeypatch):
     ("target", True), ("target", 1.0), ("param", True), ("param", 1.0),
     ("control wire", False), ("control wire", 0.0), ("control value", True), ("control value", "1"),
     ("dim", True), ("dim", 2.0), ("name", 7), ("kind", ["flip"]),
+    ("index", True), ("index", 1.0), ("index", -1), ("index", 2), ("format", True), ("format", 1.0),
 ])
 def test_loads_rejects_non_int_fields(field, value):
-    wires = [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}]
+    """Each field is set to ``value`` in a format-0 and a format-1 document, where
+    the format has it.  The well-typed gate comes first, so a bad one that compared
+    equal to it would pass for it."""
     cx = {"kind": "flip", "targets": [1], "params": [0, 1], "controls": [{"wire": 0, "value": 1}]}
-    g = json.loads(json.dumps(cx))
-    if field == "target":
-        g["targets"] = [value]
-    elif field == "param":
-        g["params"] = [0, value]
-    elif field == "control wire":
-        g["controls"][0]["wire"] = value
-    elif field == "control value":
-        g["controls"][0]["value"] = value
-    elif field == "kind":
-        g["kind"] = value
-    else:
-        wires[1][field] = value
-    # The well-typed gate comes first, so the bad one would match its sharing key.
-    with pytest.raises(CircuitError):
-        ir.circuit_from_dict({"wires": wires, "gates": [cx, g]})
+    v0 = {"wires": [{"name": "a", "dim": 2}, {"name": "b", "dim": 2}], "gates": [cx, json.loads(json.dumps(cx))]}
+    v1 = {"format": 1, "wires": [["a", 2], ["b", 2]],
+          "table": [["flip", [1], [0, 1], [[0, 1]]], ["flip", [1], [0, 1], [[0, 1]]]], "gates": [0, 1]}
+    paths = {  # the field's place in (v0, v1)
+        "target": (("gates", 1, "targets", 0), ("table", 1, 1, 0)),
+        "param": (("gates", 1, "params", 1), ("table", 1, 2, 1)),
+        "control wire": (("gates", 1, "controls", 0, "wire"), ("table", 1, 3, 0, 0)),
+        "control value": (("gates", 1, "controls", 0, "value"), ("table", 1, 3, 0, 1)),
+        "kind": (("gates", 1, "kind"), ("table", 1, 0)),
+        "dim": (("wires", 1, "dim"), ("wires", 1, 1)),
+        "name": (("wires", 1, "name"), ("wires", 1, 0)),
+        "index": (None, ("gates", 1)),
+        "format": (None, ("format",)),
+    }
+    for doc, path in zip((v0, v1), paths[field]):
+        if path is not None:
+            ir.circuit_from_dict(doc)
+            functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+            with pytest.raises(CircuitError):
+                ir.circuit_from_dict(doc)
 
 
 # --- cancel_inverses ------------------------------------------------------
