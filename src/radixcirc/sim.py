@@ -3,27 +3,19 @@ tracks one digit per wire: ``run`` for a single basis state, and ``run_batch``
 for many at once, for verification sweeps.  Both read what a flip or increment
 does to a digit from ``ir.image``.
 
-``run_batch`` is bit-sliced (Biham, FSE 1997) and works on ``Planes``, its
-only batch form, in and out: a wire of dimension d holds its digit in
+``run_batch`` is bit-sliced (Biham, FSE 1997) and takes and returns
+``Planes``, its only batch form: a wire of dimension d holds its digit in
 ceil(log2 d) planes, and plane b is a Python int whose bit r is bit b of row
-r's digit.  ``run_batch`` checks the planes and masks them to n bits, and
-``run_gates``, the gate loop, needs of a plane only ``&``, ``|`` and ``^``.
-A control ``(w, v)`` is the AND of wire w's plane literals for v; codes d
-and above never occur, so literals that only exclude them are dropped (on a
-qutrit, digit 2 is plane 1 alone).  A flip or increment XORs into each plane
-b of its target the AND of its controls with the OR of the target digits
-whose image differs from them in bit b; that toggle table is computed once
-per (kind, params, dim).  An uncontrolled X costs one XOR, an uncontrolled
-swap exchanges the two wires' planes, and a controlled swap is a masked
-XOR-swap of each plane pair.  A gate thus costs a few n-bit int operations
-per plane for n rows.
-
-``track_max`` stays exact.  Digit 3 on a ququart needs both of its bits set
-in the same row at once, so OR-ing each plane over time would overstate the
-maximum when 1 and 2 occur in different rows or at different times.  Each
-flip and increment instead marks, per digit it moves that exceeds the
-inputs' largest, the rows where it put that digit on its target; a swap
-only exchanges digits already present.
+r's digit.  Inside, ``run_gates`` keeps one level set per digit instead:
+``levels[w][v]`` is an int whose bit r is set where wire w holds v on row r.
+A control ``(w, v)`` is then ``levels[w][v]``, a flip or increment is an
+ordered list of exchanges of its target's levels, computed once per (kind,
+params, dim) from ``ir.image``, and a swap exchanges the two wires' levels
+digit by digit.  Uncontrolled, an exchange swaps two list entries and does no
+int operation; controlled, it is a masked XOR-swap of four.  An operand needs
+only ``&``, ``|`` and ``^``.  The rows where a gate put a digit on its target
+are that digit's level set after the gate, within the control mask, so
+``track_max`` is exact.
 """
 from __future__ import annotations
 
@@ -92,120 +84,65 @@ class Planes:
         return [sum((p >> r & 1) << b for b, p in enumerate(planes)) for planes in self.wires]
 
 
-Literal = tuple[int, bool]  # (plane index, whether the bit is set)
-Cube = tuple[Literal, ...]  # AND of literals; the empty cube is all ones
-
-
 @functools.lru_cache(maxsize=1024)
-def _cover(digits: frozenset[int], dim: int) -> tuple[Cube, ...]:
-    """Cubes whose OR holds exactly on ``digits`` among the codes below ``dim``.
+def _exchanges(kind: str, params: tuple[int, ...], dim: int):
+    """A flip or increment on a wire of ``dim`` as an ordered list of level exchanges.
 
-    Each cube grows greedily from a digit not yet covered, dropping a literal
-    while the cube still matches no code below ``dim`` outside ``digits``.
-    """
-    n_bits = (dim - 1).bit_length()
-    cubes, left = [], set(digits)
-    while left:
-        v = min(left)
-        care = (1 << n_bits) - 1
-        for b in reversed(range(n_bits)):
-            wider = care & ~(1 << b)
-            if all(u in digits for u in range(dim) if u & wider == v & wider):
-                care = wider
-        cubes.append(tuple((b, bool(v >> b & 1)) for b in range(n_bits) if care >> b & 1))
-        left -= {u for u in range(dim) if u & care == v & care}
-    return tuple(cubes)
-
-
-@functools.lru_cache(maxsize=1024)
-def _eq_cube(v: int, dim: int) -> Cube:
-    """The literals whose AND holds exactly where a wire of ``dim`` holds ``v``."""
-    return _cover(frozenset((v,)), dim)[0]
-
-
-@functools.lru_cache(maxsize=1024)
-def _lowering(kind: str, params: tuple[int, ...], dim: int):
-    """A flip or increment on a wire of ``dim`` as XORs into its planes.
-
-    Returns ``(groups, moved)``.  Plane b toggles on the digits whose
-    ``ir.image`` differs from them in bit b; planes that toggle on the same digits share a
-    group ``(cubes, bits)``, whose ``cubes`` cover those digits.  ``moved``
-    pairs each digit the gate changes with its ``_eq_cube``; they are the only
-    digits the gate can bring onto the wire.
+    Returns ``(pairs, moved)``.  Exchanging the level sets of each pair ``(u, v)`` in
+    turn takes every digit to its ``ir.image``: a cycle u -> v -> w -> ... of the
+    image is the exchanges (u, v), (u, w), ...  ``moved`` lists the digits the gate
+    changes, the only ones it can bring onto the wire.
     """
     to = image(kind, params, dim)
-    toggles: dict[frozenset[int], list[int]] = {}
-    for b in range((dim - 1).bit_length()):
-        flipped = frozenset(v for v in range(dim) if (v ^ to[v]) >> b & 1)
-        if flipped:
-            toggles.setdefault(flipped, []).append(b)
-    groups = tuple((_cover(s, dim), tuple(bits)) for s, bits in toggles.items())
-    moved = tuple((v, _eq_cube(v, dim)) for v in range(dim) if to[v] != v)
-    return groups, moved
+    pairs, done = [], set()
+    for u in range(dim):
+        if u in done:
+            continue
+        v = to[u]
+        while v != u:
+            pairs.append((u, v))
+            done.add(v)
+            v = to[v]
+    return tuple(pairs), tuple(v for v in range(dim) if to[v] != v)
 
 
-def _and(a, b):
-    """AND of two planes, where None stands for all ones."""
-    if a is None:
-        return b
-    return a if b is None else a & b
+def _exchange(a: list, i: int, b: list, j: int, mask) -> None:
+    """Exchange ``a[i]`` and ``b[j]`` on the rows in ``mask``, or on every row when it is None."""
+    if mask is None:
+        a[i], b[j] = b[j], a[i]
+    else:
+        d = (a[i] ^ b[j]) & mask
+        a[i], b[j] = a[i] ^ d, b[j] ^ d
 
 
-def _eval_cube(planes: list, cube: Cube, ones):
-    acc = None
-    for b, bit_set in cube:
-        acc = _and(acc, planes[b] if bit_set else planes[b] ^ ones)
-    return acc
+def run_gates(levels: list[list], dims: tuple[int, ...], gates, floor: int | None = None) -> dict:
+    """Apply ``gates`` in place to ``levels``: ``levels[w][v]`` holds the rows where wire w holds v.
 
-
-def _eval_cover(planes: list, cubes: tuple[Cube, ...], ones):
-    # Only a cover of every code below dim has an empty cube (None), and then no other.
-    return functools.reduce(operator.or_, (_eval_cube(planes, cube, ones) for cube in cubes))
-
-
-def run_gates(planes: list[list], dims: tuple[int, ...], gates, ones, floor: int | None = None) -> dict:
-    """Apply ``gates`` in place to ``planes``, wire w's ceil(log2 dims[w]) planes at ``planes[w]``.
-
-    An operand needs only ``&``, ``|`` and ``^``: ``ones``, the all-ones operand, replaces
-    ``~`` (a negative number on a Python int), and None stands for it in masks.  With
-    ``floor`` set, returns each digit above ``floor`` that a flip or increment put on its
-    target, with the rows where it did; else ``{}``.
+    An operand needs only ``&``, ``|`` and ``^``, and an uncontrolled gate uses none of
+    them.  With ``floor`` set, returns each digit above ``floor`` that a flip or increment
+    put on its target, with the rows where it did; else ``{}``.
     """
     seen: dict = {}
     for g in gates:
         mask = None
         for w, v in g.controls:
-            mask = _and(mask, _eval_cube(planes[w], _eq_cube(v, dims[w]), ones))
+            mask = levels[w][v] if mask is None else mask & levels[w][v]
         if g.kind == SWAP:
             t0, t1 = g.targets
-            if mask is None:
-                planes[t0], planes[t1] = planes[t1], planes[t0]
-                continue
-            p0, p1 = planes[t0], planes[t1]
-            for b in range((dims[t0] - 1).bit_length()):
-                d = (p0[b] ^ p1[b]) & mask
-                p0[b], p1[b] = p0[b] ^ d, p1[b] ^ d
+            for v in range(dims[t0]):
+                _exchange(levels[t0], v, levels[t1], v, mask)
             continue
         t = g.targets[0]
-        p = planes[t]
-        groups, moved = _lowering(g.kind, g.params, dims[t])
-        # Every toggle reads the target's planes as they were before the gate.
-        toggles = [(_and(mask, _eval_cover(p, cubes, ones)), bits) for cubes, bits in groups]
-        for x, bits in toggles:
-            for b in bits:
-                p[b] ^= ones if x is None else x
+        lv = levels[t]
+        pairs, moved = _exchanges(g.kind, g.params, dims[t])
+        for u, v in pairs:
+            _exchange(lv, u, lv, v, mask)
         if floor is not None:
-            for v, cube in moved:
-                if v > floor:
-                    hit = _and(mask, _eval_cube(p, cube, ones))
-                    seen[v] = hit if v not in seen else seen[v] | hit
+            for u in moved:
+                if u > floor:
+                    hit = lv[u] if mask is None else lv[u] & mask
+                    seen[u] = hit if u not in seen else seen[u] | hit
     return seen
-
-
-def _top(planes: list[int], ones: int) -> int:
-    """The largest code the ``planes`` of one wire hold on a row set in ``ones``."""
-    codes = 1 << len(planes)
-    return next((v for v in reversed(range(1, codes)) if _eval_cube(planes, _eq_cube(v, codes), ones)), 0)
 
 
 def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Planes, int]:
@@ -224,14 +161,20 @@ def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Plan
         if not all(isinstance(x, int) for x in p):
             raise ValueError(f"wire {w} has a plane that is not a Python int")
     ones = (1 << states.n) - 1
-    wires = [[x & ones for x in p] for p in states.wires]
-    widths = [(d - 1).bit_length() for d in dims]
-    top = [_top(p[:nb], ones) for p, nb in zip(wires, widths)]
-    bad = [w for w, (p, nb, t, dim) in enumerate(zip(wires, widths, top, dims)) if t >= dim or any(p[nb:])]
-    if bad:
-        raise ValueError(f"wire {bad[0]} holds a digit outside [0, {dims[bad[0]]})")
-    # Unlisted planes are zero; planes past ceil(log2 dim) are, as just checked.
-    planes = [p[:nb] + [0] * (nb - len(p)) for p, nb in zip(wires, widths)]
-    floor = max(top, default=0) if track_max else None
-    seen = run_gates(planes, dims, c.gates, ones, floor)
-    return Planes(planes, states.n), max([v for v, rows in seen.items() if rows], default=floor or 0)
+    levels = []
+    for w, (planes, dim) in enumerate(zip(states.wires, dims)):
+        nb = (dim - 1).bit_length()
+        # Split the rows on each plane in turn; codes that need an unlisted plane hold no row.
+        lv = [ones]
+        for p in planes[:nb]:
+            lv = [x ^ (x & p) for x in lv] + [x & p for x in lv]
+        lv += [0] * ((1 << nb) - len(lv))
+        # Planes past ceil(log2 dim) are only tested for a set bit, never split on.
+        if any(lv[dim:]) or any(p & ones for p in planes[nb:]):
+            raise ValueError(f"wire {w} holds a digit outside [0, {dim})")
+        levels.append(lv[:dim])
+    floor = max((v for lv in levels for v, rows in enumerate(lv) if rows), default=0) if track_max else None
+    seen = run_gates(levels, dims, c.gates, floor)
+    out = [[functools.reduce(operator.or_, (rows for v, rows in enumerate(lv) if v >> b & 1), 0)
+            for b in range((len(lv) - 1).bit_length())] for lv in levels]
+    return Planes(out, states.n), max([v for v, rows in seen.items() if rows], default=floor or 0)

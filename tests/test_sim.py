@@ -227,26 +227,35 @@ def test_property_batch_and_statevector_agree(cs):
 
 
 class Bits:
-    """A plane that defines only ``&``, ``|`` and ``^`` (no ``~``): all that
+    """A level set that defines only ``&``, ``|`` and ``^`` (no ``~``): all that
     ``sim.run_gates`` may ask of an operand, as a BDD node class would offer."""
 
     def __init__(self, v: int):
         self.v = v
 
     def __and__(self, o):
-        return Bits(self.v & o.v)
+        return type(self)(self.v & o.v)
 
     def __or__(self, o):
-        return Bits(self.v | o.v)
+        return type(self)(self.v | o.v)
 
     def __xor__(self, o):
-        return Bits(self.v ^ o.v)
+        return type(self)(self.v ^ o.v)
 
 
-@settings(max_examples=80, deadline=None)
-@given(circuit_and_batch())
-def test_property_batch_matches_scalar_steps(cb):
-    c, states = cb
+class Counted(Bits):
+    """``Bits`` that counts the operands made: one per ``&``, ``|`` or ``^``."""
+
+    made = 0
+
+    def __init__(self, v: int):
+        super().__init__(v)
+        Counted.made += 1
+
+
+def stepwise(c, states):
+    """Each row of ``states`` run through ``c`` by ``sim.run`` one gate at a time: the
+    output rows, and the largest digit on any wire before or after any gate."""
     steps = [ir.extend(ir.new_circuit(c.wires), [g]) for g in c.gates]
     want, want_max = [], 0
     for digits in states.tolist():
@@ -256,6 +265,14 @@ def test_property_batch_matches_scalar_steps(cb):
             s = sim.run(step, s)
             want_max = max(want_max, *s.digits)
         want.append(s.digits)
+    return want, want_max
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit_and_batch())
+def test_property_batch_matches_scalar_steps(cb):
+    c, states = cb
+    want, want_max = stepwise(c, states)
     # Every bit at and above n set: those bits are never checked, and never count
     # toward the largest digit.  The input is not modified.
     ins = oracle.to_planes(states, c.dims, padding=1)
@@ -269,13 +286,59 @@ def test_property_batch_matches_scalar_steps(cb):
     assert max_digit == want_max
     untracked, zero = sim.run_batch(c, ins)
     assert (oracle.from_planes(untracked) == rows).all() and zero == 0
-    # The gate loop alone, on operands without ``~``, gives the same rows and digits.
-    ones = (1 << len(states)) - 1
+    # The gate loop alone, on level sets built straight from the digits as ``Bits``, gives
+    # the same rows and largest digit, with each row in exactly one level set per wire.
     floor = int(states.max(initial=0))
-    planes = [[Bits(x & ones) for x in p] for p in ins.wires]
-    seen = sim.run_gates(planes, c.dims, c.gates, Bits(ones), floor)
-    assert (oracle.from_planes(sim.Planes([[x.v for x in p] for p in planes], len(states))) == rows).all()
-    assert max([v for v, hit in seen.items() if hit.v], default=floor) == max_digit
+    levels = [[Bits(sum(1 << r for r, d in enumerate(col) if d == v)) for v in range(dim)]
+              for col, dim in zip(states.T.tolist(), c.dims)]
+    seen = sim.run_gates(levels, c.dims, c.gates, floor)
+    got = [[[v for v, rows in enumerate(lv) if rows.v >> r & 1] for lv in levels] for r in range(len(states))]
+    assert got == [[[d] for d in digits] for digits in want]
+    assert max([v for v, hit in seen.items() if hit.v], default=floor) == want_max
+
+
+@pytest.mark.parametrize("n", [0, 1, 65])
+@pytest.mark.parametrize("dim", [7, 8, 9, 33, ir.MAX_DIM])
+def test_run_batch_matches_scalar_steps_on_high_dims(dim, n):
+    # Two wires of ``dim`` start binary, so the gates set the largest digit; a qutrit controls.
+    c = ir.new_circuit([Wire("t", dim), Wire("u", dim), Wire("c", 3)])
+    gates = []
+    for k in range(1, dim):
+        gates += [ir.incr(0, k), ir.incr(1, k, [(2, k % 3)])]
+    gates += [
+        ir.flip(0, 0, dim - 1),
+        ir.flip(1, 1, dim // 2, [(2, 2)]),
+        ir.flip(0, 2, dim - 2, [(1, dim // 2), (2, 2)]),
+        ir.swap(0, 1),
+        ir.swap(0, 1, [(2, 0)]),
+    ]
+    ir.extend(c, gates)
+    states = np.random.default_rng(dim).integers(0, (2, 2, 3), size=(n, 3))
+    out, max_digit = sim.run_batch(c, oracle.to_planes(states, c.dims, padding=1), track_max=True)
+    want, want_max = stepwise(c, states)
+    assert [tuple(row) for row in oracle.from_planes(out).tolist()] == want
+    assert max_digit == want_max
+
+
+@pytest.mark.parametrize("gate,most", [
+    pytest.param(ir.x(0), 0, id="x"),
+    pytest.param(ir.flip(1, 0, 3), 0, id="flip"),
+    pytest.param(ir.incr(1, 1), 0, id="incr-1"),
+    pytest.param(ir.incr(1, 2), 0, id="incr-2"),
+    pytest.param(ir.incr(3, 2), 0, id="incr-qutrit"),
+    pytest.param(ir.swap(1, 2), 0, id="swap"),
+    pytest.param(ir.x(0, [(3, 2)]), 4, id="x-1-control"),
+    pytest.param(ir.flip(1, 0, 3, [(0, 1)]), 4, id="flip-1-control"),
+    pytest.param(ir.flip(1, 2, 1, [(0, 1), (3, 0)]), 5, id="flip-2-controls"),
+])
+def test_run_gates_operation_count(gate, most):
+    # Uncontrolled gates only reorder level sets; a controlled flip is a masked
+    # XOR-swap, (a ^ b) & mask and two XORs, after one AND for a second control.
+    dims = (2, 4, 4, 3)
+    levels = [[Counted(1)] + [Counted(0)] * (d - 1) for d in dims]
+    before = Counted.made
+    sim.run_gates(levels, dims, [gate])
+    assert Counted.made - before <= most
 
 
 @pytest.mark.parametrize("scheme", [cmp.SCHEME_231, cmp.SCHEME_241], ids=lambda s: s.label)
