@@ -111,10 +111,11 @@ def build_kind(args) -> tuple[Circuit, AdderWiring | None]:
 
 # --- oracles ---------------------------------------------------------------
 
-def _input_planes(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> sim.Planes:
-    """Binary inputs on wires ``cols``, one plane each, and 0 on every other wire.  Row i of
-    the exhaustive sweep holds the bits of i, most significant first (``itertools.product``
-    order); sampled, each input wire's 64-row words are drawn in turn from PCG64 with ``seed``."""
+def _input_levels(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> sim.Levels:
+    """Binary inputs on wires ``cols``, each as ``[ones ^ x, x]`` for its bits ``x``, and 0 on
+    every other wire, ``[ones]``.  Row i of the exhaustive sweep holds the bits of i, most
+    significant first (``itertools.product`` order); sampled, each input wire's 64-row words
+    are drawn in turn from PCG64 with ``seed``."""
     free = len(cols)
     if exhaustive:
         _require(free <= 20, f"exhaustive sweep over 2^{free} inputs exceeds {EXHAUSTIVE_LIMIT}")
@@ -126,35 +127,38 @@ def _input_planes(width: int, cols: list[int], exhaustive: bool, samples: int, s
     else:
         n = samples
         words = np.random.default_rng(seed).integers(0, ~np.uint64(0), (free, -(-n // 64)), np.uint64, endpoint=True)
-        bits = [int.from_bytes(w.astype("<u8").tobytes(), "little") & ((1 << n) - 1) for w in words]
-    plane = dict(zip(cols, bits))
-    return sim.Planes([[plane[w]] if w in plane else [] for w in range(width)], n)
+        bits = [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in words]
+    ones = (1 << n) - 1
+    level = {w: x & ones for w, x in zip(cols, bits)}
+    return sim.Levels([[ones ^ level[w], level[w]] if w in level else [ones] for w in range(width)], n)
 
 
-def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: sim.Planes) -> sim.Planes:
-    """Independent oracle for each circuit kind on binary input planes: a compressor's truth
-    table as an OR of input-literal cubes per output plane, and for an adder a ripple-carry on
-    planes over the layout's bit columns (A, or the constant ``k`` when the layout has no A), not
-    the circuits' carry-lookahead.  Wires outside B and the carry-out keep their input planes."""
-    bit = [planes[0] if planes else None for planes in ins.wires]
-    ones = (1 << len(ins)) - 1
+def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: sim.Levels) -> sim.Levels:
+    """Independent oracle for each circuit kind on binary input levels.  For a compressor, level v
+    of a wire is the OR of the truth-table cubes (ANDs of input levels) whose output digit there
+    is v.  For an adder, a ripple-carry on level 1 of the layout's bit columns (A, or the constant
+    ``k`` when the layout has no A), not the circuits' carry-lookahead, makes each B column and
+    the carry-out ``[ones ^ s, s]`` for its bits s.  Other wires keep their input levels."""
     if layout is None:
         table = TABLE_231 if kind == "compress231" else TABLE_241
-        cube = {row: functools.reduce(operator.and_, [x if v else x ^ ones for x, v in zip(bit, row)]) for row in table}
-        # Plane b of wire w: the rows whose output digit on w has bit b set; digits are below 4.
-        return sim.Planes([[functools.reduce(operator.or_, [cube[row] for row in table if table[row][w] >> b & 1], 0)
-                            for b in (0, 1)] for w in range(len(bit))], ins.n)
+        cube = {row: functools.reduce(operator.and_, [lv[v] for lv, v in zip(ins.wires, row)]) for row in table}
+        return sim.Levels([[functools.reduce(operator.or_, [cube[row] for row, out in table.items() if out[w] == v], 0)
+                            for v in range(1 + max(out[w] for out in table.values()))]
+                           for w in range(len(ins.wires))], ins.n)
 
+    ones = (1 << len(ins)) - 1
+    bit = [lv[1] if len(lv) > 1 else 0 for lv in ins.wires]
     exp = list(ins.wires)
     carry = bit[layout.carry_in] if layout.carry_in is not None else 0
     for i, col in enumerate(layout.b):
         a = bit[layout.a[i]] if layout.a else ones * (k >> i & 1)
         b = bit[col]
-        exp[col] = [a ^ b ^ carry]
+        s = a ^ b ^ carry
+        exp[col] = [ones ^ s, s]
         carry = (a & b) | (carry & (a ^ b))
     if layout.carry_out is not None:
-        exp[layout.carry_out] = [carry]
-    return sim.Planes(exp, ins.n)
+        exp[layout.carry_out] = [ones ^ carry, carry]
+    return sim.Levels(exp, ins.n)
 
 
 def run_verify(args) -> int:
@@ -166,12 +170,13 @@ def run_verify(args) -> int:
         _require(circ.dims == built_circ.dims, "circuit file wire dims do not match kind flags")
 
     cols = list(range(circ.width)) if layout is None else layout.inputs
-    ins = _input_planes(circ.width, cols, args.exhaustive, args.samples, args.seed)
+    ins = _input_levels(circ.width, cols, args.exhaustive, args.samples, args.seed)
     exp = expected_outputs(kind, args.k, layout, ins)
     out, _ = sim.run_batch(circ, ins)
-    # Rows where any plane differs; a wire's unlisted planes are 0, and every plane is below 2**n.
+    # Rows where any level above 0 differs: both sides put each row in one level, so level 0
+    # agrees where the others do.  Unlisted levels are empty, and every level is below 2**n.
     diff = functools.reduce(operator.or_, (
-        g ^ e for got, want in zip(out.wires, exp.wires) for g, e in itertools.zip_longest(got, want, fillvalue=0)), 0)
+        g ^ e for got, want in zip(out.wires, exp.wires) for g, e in itertools.zip_longest(got[1:], want[1:], fillvalue=0)), 0)
     if diff:
         r = (diff & -diff).bit_length() - 1
         print(

@@ -4,18 +4,16 @@ for many at once, for verification sweeps.  Both read what a flip or increment
 does to a digit from ``ir.image``.
 
 ``run_batch`` is bit-sliced (Biham, FSE 1997) and takes and returns
-``Planes``, its only batch form: a wire of dimension d holds its digit in
-ceil(log2 d) planes, and plane b is a Python int whose bit r is bit b of row
-r's digit.  Inside, ``run_gates`` keeps one level set per digit instead:
-``levels[w][v]`` is an int whose bit r is set where wire w holds v on row r.
-A control ``(w, v)`` is then ``levels[w][v]``, a flip or increment is an
-ordered list of exchanges of its target's levels, computed once per (kind,
-params, dim) from ``ir.image``, and a swap exchanges the two wires' levels
-digit by digit.  Uncontrolled, an exchange swaps two list entries and does no
-int operation; controlled, it is a masked XOR-swap of four.  An operand needs
-only ``&``, ``|`` and ``^``.  The rows where a gate put a digit on its target
-are that digit's level set after the gate, within the control mask, so
-``track_max`` is exact.
+``Levels``, its only batch form: ``wires[w][v]`` is a Python int whose bit r is
+set where wire w holds v on row r, one level set per digit.  Its gate loop,
+``run_gates``, works on the same lists.  A control ``(w, v)`` is then
+``levels[w][v]``, a flip or increment is an ordered list of exchanges of its
+target's levels, computed once per (kind, params, dim) from ``ir.image``, and a
+swap exchanges the two wires' levels digit by digit.  Uncontrolled, an exchange
+swaps two list entries and does no int operation; controlled, it is a masked
+XOR-swap of four.  An operand needs only ``&``, ``|`` and ``^``.  The rows where
+a gate put a digit on its target are that digit's level set after the gate,
+within the control mask, so ``track_max`` is exact.
 """
 from __future__ import annotations
 
@@ -69,9 +67,9 @@ def run(c: Circuit, s: BasisState) -> BasisState:
 
 
 @dataclass
-class Planes:
-    """A batch of ``n`` basis states: ``wires[w][b]`` is bit b of wire w's digits as one
-    Python int, row r at bit r.  A plane a wire does not list is 0; bits n and up are ignored."""
+class Levels:
+    """A batch of ``n`` basis states: ``wires[w][v]`` is a Python int whose bit r is set where
+    wire w holds v on row r.  A level a wire does not list is empty; bits n and up are ignored."""
 
     wires: list[list[int]]
     n: int
@@ -81,7 +79,7 @@ class Planes:
 
     def row(self, r: int) -> list[int]:
         """Row ``r``'s digit on each wire."""
-        return [sum((p >> r & 1) << b for b, p in enumerate(planes)) for planes in self.wires]
+        return [next(v for v, rows in enumerate(levels) if rows >> r & 1) for levels in self.wires]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -145,36 +143,30 @@ def run_gates(levels: list[list], dims: tuple[int, ...], gates, floor: int | Non
     return seen
 
 
-def run_batch(c: Circuit, states: Planes, track_max: bool = False) -> tuple[Planes, int]:
-    """Run a ``Planes`` batch of basis states through ``c`` with ``run_gates``.
+def run_batch(c: Circuit, states: Levels, track_max: bool = False) -> tuple[Levels, int]:
+    """Run a ``Levels`` batch of basis states through ``c`` with ``run_gates``.
 
-    ``states`` has one entry per wire of ``c``, each plane a Python int, and its digits
-    on rows below ``n`` lie in ``[0, dim)`` of their wires, else ``ValueError``; it is
-    not modified.  Returns the outputs, ceil(log2 dim) planes per wire below ``2**n``,
-    and, when ``track_max`` is set, the largest digit on any wire at any point during
-    execution (inputs included), else 0.  Bits n and above are neither checked nor counted.
+    ``states`` has one entry per wire of ``c``, each a list of at most ``dim`` Python ints,
+    and every row below ``n`` is in exactly one listed level of each wire, else ``ValueError``
+    naming the wire; it is not modified.  Returns the outputs, ``dim`` levels per wire below
+    ``2**n``, and, when ``track_max`` is set, the largest digit on any wire at any point
+    during execution (inputs included), else 0.  Bits n and above are neither checked nor counted.
     """
     dims = c.dims
     if len(states.wires) != c.width:
         raise ValueError(f"expected {c.width} wires, got {len(states.wires)}")
-    for w, p in enumerate(states.wires):
-        if not all(isinstance(x, int) for x in p):
-            raise ValueError(f"wire {w} has a plane that is not a Python int")
     ones = (1 << states.n) - 1
     levels = []
-    for w, (planes, dim) in enumerate(zip(states.wires, dims)):
-        nb = (dim - 1).bit_length()
-        # Split the rows on each plane in turn; codes that need an unlisted plane hold no row.
-        lv = [ones]
-        for p in planes[:nb]:
-            lv = [x ^ (x & p) for x in lv] + [x & p for x in lv]
-        lv += [0] * ((1 << nb) - len(lv))
-        # Planes past ceil(log2 dim) are only tested for a set bit, never split on.
-        if any(lv[dim:]) or any(p & ones for p in planes[nb:]):
-            raise ValueError(f"wire {w} holds a digit outside [0, {dim})")
-        levels.append(lv[:dim])
+    for w, (lv, dim) in enumerate(zip(states.wires, dims)):
+        if not all(isinstance(x, int) for x in lv):
+            raise ValueError(f"wire {w} has a level that is not a Python int")
+        if len(lv) > dim:
+            raise ValueError(f"wire {w} lists {len(lv)} levels, more than its dim {dim}")
+        lv = [x & ones for x in lv]
+        # With every row in some level, the sum of the levels is ``ones`` only if no row is in two.
+        if functools.reduce(operator.or_, lv, 0) != ones or sum(lv) != ones:
+            raise ValueError(f"wire {w} does not hold exactly one digit on every row")
+        levels.append(lv + [0] * (dim - len(lv)))
     floor = max((v for lv in levels for v, rows in enumerate(lv) if rows), default=0) if track_max else None
     seen = run_gates(levels, dims, c.gates, floor)
-    out = [[functools.reduce(operator.or_, (rows for v, rows in enumerate(lv) if v >> b & 1), 0)
-            for b in range((len(lv) - 1).bit_length())] for lv in levels]
-    return Planes(out, states.n), max([v for v, rows in seen.items() if rows], default=floor or 0)
+    return Levels(levels, states.n), max([v for v, rows in seen.items() if rows], default=floor or 0)

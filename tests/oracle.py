@@ -3,9 +3,9 @@
 basis-state sweeps, the reference format-1 document ``ir.dumps`` must write
 (``circuit_to_doc``) and the format-0 document earlier versions wrote
 (``circuit_to_dict``), and the only conversions between dense (n, width)
-rows and ``sim.Planes`` (``to_planes``, ``from_planes``), written with
+rows and ``sim.Levels`` (``to_levels``, ``from_levels``), written with
 numpy's bit packing and ``int.from_bytes``/``int.to_bytes``.  ``run_rows``
-runs ``sim.run_batch``, which takes ``Planes`` only, on dense rows through
+runs ``sim.run_batch``, which takes ``Levels`` only, on dense rows through
 them.
 
 The statevector engine defines the gate semantics itself (``_digit_map``),
@@ -24,7 +24,7 @@ import numpy as np
 from radixcirc import ir, sim
 from radixcirc.ir import FLIP, SWAP, Circuit, Gate
 from radixcirc.qubit_adders import AdderWiring
-from radixcirc.sim import BasisState, Planes
+from radixcirc.sim import BasisState, Levels
 
 STATEVECTOR_CAP = 1 << 20
 
@@ -68,41 +68,43 @@ def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) ->
     return exp
 
 
-def to_planes(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Planes:
-    """Dense (n, width) digits as ``Planes``, ceil(log2 dim) planes per wire, with
-    every bit at and above n of each plane set to ``padding``.  A digit those
-    planes cannot hold (negative, or 2^ceil(log2 dim) or more) raises ``ValueError``."""
+def to_levels(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Levels:
+    """Dense (n, width) digits as ``Levels``, ``dim`` levels per wire, with every bit at
+    and above n of each level set to ``padding``.  A digit outside ``[0, dim)`` of its
+    wire raises ``ValueError``."""
     states = np.asarray(states)
     n = len(states)
     high = -1 << n if padding else 0  # a Python int with every bit from n up set
     wires = []
     for w, dim in enumerate(dims):
-        n_bits = (dim - 1).bit_length()
-        if ((states[:, w] < 0) | (states[:, w] >= 1 << n_bits)).any():
-            raise ValueError(f"wire {w} holds a digit that does not fit {n_bits} planes")
-        planes = []
-        for b in range(n_bits):
-            packed = np.packbits((states[:, w] >> b & 1).astype(np.uint8), bitorder="little")
-            planes.append(int.from_bytes(packed.tobytes(), "little") | high)
-        wires.append(planes)
-    return Planes(wires, n)
+        col = states[:, w]
+        if ((col < 0) | (col >= dim)).any():
+            raise ValueError(f"wire {w} holds a digit outside [0, {dim})")
+        wires.append([int.from_bytes(np.packbits(col == v, bitorder="little").tobytes(), "little") | high
+                      for v in range(dim)])
+    return Levels(wires, n)
 
 
-def from_planes(p: Planes, dtype=np.int64) -> np.ndarray:
-    """The (n, width) digits of the first ``p.n`` rows of ``p``."""
+def from_levels(p: Levels, dtype=np.int64) -> np.ndarray:
+    """The (n, width) digits of the first ``p.n`` rows of ``p``.  A row that is in no
+    level of a wire, or in two, raises ``ValueError``."""
     out = np.zeros((p.n, len(p.wires)), dtype=dtype)
-    for w, planes in enumerate(p.wires):
-        for b, plane in enumerate(planes):
-            packed = (plane & (1 << p.n) - 1).to_bytes(-(-p.n // 8), "little")
-            bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-            out[:, w] |= bits[:p.n].astype(dtype) << b
+    for w, levels in enumerate(p.wires):
+        hits = np.zeros(p.n, dtype=np.int64)
+        for v, rows in enumerate(levels):
+            packed = (rows & (1 << p.n) - 1).to_bytes(-(-p.n // 8), "little")
+            bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")[:p.n]
+            out[:, w] += bits.astype(dtype) * v
+            hits += bits
+        if (hits != 1).any():
+            raise ValueError(f"wire {w} does not hold exactly one digit on every row")
     return out
 
 
 def run_rows(c: Circuit, rows: np.ndarray, track_max: bool = False) -> tuple[np.ndarray, int]:
     """``sim.run_batch`` on dense (n, width) rows: the output rows and the largest digit."""
-    out, max_digit = sim.run_batch(c, to_planes(rows, c.dims), track_max)
-    return from_planes(out), max_digit
+    out, max_digit = sim.run_batch(c, to_levels(rows, c.dims), track_max)
+    return from_levels(out), max_digit
 
 
 def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Iterator[BasisState]:

@@ -85,21 +85,24 @@ def test_verify_exhaustive_compress(capsys):
 def test_exhaustive_rows_are_itertools_product_order(free):
     width = free + 2
     cols = list(range(1, free + 1))
-    ins = cli._input_planes(width, cols, True, 0, 0)
+    ins = cli._input_levels(width, cols, True, 0, 0)
     rows = itertools.chain.from_iterable(itertools.product((0, 1), repeat=free))
     want = np.zeros((1 << free, width), dtype=np.uint8)
     want[:, cols] = np.fromiter(rows, dtype=np.uint8, count=free << free).reshape(-1, free)
-    assert len(ins) == 1 << free and ins.wires[0] == ins.wires[-1] == []
-    assert (oracle.from_planes(ins, np.uint8) == want).all()
-    assert all(planes[0] >> len(ins) == 0 for planes in ins.wires[1:-1])
+    ones = (1 << len(ins)) - 1
+    assert len(ins) == 1 << free and ins.wires[0] == ins.wires[-1] == [ones]
+    assert (oracle.from_levels(ins, np.uint8) == want).all()
+    assert all(levels == [ones ^ levels[1], levels[1]] and levels[1] >> len(ins) == 0 for levels in ins.wires[1:-1])
 
 
 def test_sampled_rows_are_seeded_words():
-    ins = cli._input_planes(5, [0, 2, 4], False, 130, 9)
+    ins = cli._input_levels(5, [0, 2, 4], False, 130, 9)
     words = np.random.default_rng(9).integers(0, ~np.uint64(0), (3, 3), np.uint64, endpoint=True)
-    assert len(ins) == 130 and ins.wires[1] == ins.wires[3] == []
+    ones = (1 << 130) - 1
+    assert len(ins) == 130 and ins.wires[1] == ins.wires[3] == [ones]
     for w, drawn in zip([0, 2, 4], words):
-        assert ins.wires[w][0] == sum(int(x) << 64 * i for i, x in enumerate(drawn)) & (1 << 130) - 1
+        x = sum(int(x) << 64 * i for i, x in enumerate(drawn)) & ones
+        assert ins.wires[w] == [ones ^ x, x]
 
 
 CARRIES = [(False, False), (False, True), (True, False), (True, True)]
@@ -196,8 +199,8 @@ def test_verify_never_compares_padding_rows(tmp_path, capsys):
     path = tmp_path / "zero-bug.json"
     path.write_text(ir.dumps(circ))
     for samples in (1, 65):
-        ins = cli._input_planes(circ.width, layout.inputs, False, samples, 3)
-        drawn = functools.reduce(operator.or_, [ins.wires[w][0] for w in layout.inputs])
+        ins = cli._input_levels(circ.width, layout.inputs, False, samples, 3)
+        drawn = functools.reduce(operator.or_, [ins.wires[w][1] for w in layout.inputs])
         assert drawn == (1 << samples) - 1  # no drawn row is all zero
         assert run_cli("verify", *flags, "--samples", str(samples), "--seed", "3", "--circuit", str(path)) == 0
         assert capsys.readouterr().out == f"PASS block-adder: {samples} cases\n"
@@ -459,13 +462,13 @@ def test_expected_outputs_matches_big_int(kind, n, scheme, carry_in, carry_out):
         args = cli.make_parser().parse_args(argv)
         circ, layout = cli.build_kind(args)
         ins = oracle.adder_inputs(layout, circ.width, rng, 200)
-        exp = cli.expected_outputs(kind, k, layout, oracle.to_planes(ins, circ.dims))
-        assert (oracle.from_planes(exp) == oracle.adder_outputs(layout, ins, k)).all()
+        exp = cli.expected_outputs(kind, k, layout, oracle.to_levels(ins, circ.dims))
+        assert (oracle.from_levels(exp) == oracle.adder_outputs(layout, ins, k)).all()
 
 
 @pytest.mark.parametrize("kind,table", [("compress231", cli.TABLE_231), ("compress241", cli.TABLE_241)], ids=["231", "241"])
 def test_expected_outputs_matches_compressor_tables(kind, table):
     # Every table row, repeated past one 64-row word.
     ins = np.array(list(table) * 20)
-    exp = cli.expected_outputs(kind, None, None, oracle.to_planes(ins, (2,) * ins.shape[1]))
-    assert [tuple(row) for row in oracle.from_planes(exp).tolist()] == [table[tuple(row)] for row in ins.tolist()]
+    exp = cli.expected_outputs(kind, None, None, oracle.to_levels(ins, (2,) * ins.shape[1]))
+    assert [tuple(row) for row in oracle.from_levels(exp).tolist()] == [table[tuple(row)] for row in ins.tolist()]

@@ -85,56 +85,73 @@ def test_run_batch_matches_scalar_run():
         assert tuple(row_out) == sim.run(c, sim.basis_state(c, row_in)).digits
     assert max_digit == 3
     with pytest.raises(ValueError, match="expected"):
-        sim.run_batch(c, oracle.to_planes(states[:, :2], c.dims[:2]))
+        sim.run_batch(c, oracle.to_levels(states[:, :2], c.dims[:2]))
 
 
-@pytest.mark.parametrize("row", [
-    pytest.param([1, 3, 0, 0], id="planes-code-3-on-a-qutrit"),
-    pytest.param([0, 0, 0, 2], id="planes-bit-on-plane-1-of-a-qubit"),
+@pytest.mark.parametrize("row,wire", [
+    pytest.param([1, 3, 0, 0], 1, id="level-3-on-a-qutrit"),
+    pytest.param([0, 0, 0, 2], 3, id="level-2-on-a-qubit"),
 ])
-def test_run_batch_rejects_digits_outside_dim(row):
+def test_run_batch_rejects_digits_outside_dim(row, wire):
     # Wire 3 (dim 2) is untouched by the gates of mixed_circuit.
     c = ir.extend(ir.new_circuit(mixed_circuit().wires + (Wire("d", 2),)), mixed_circuit().gates)
-    # Two planes on every wire, so each holds any code 0-3.
-    states = oracle.to_planes(np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]]), (4, 4, 4, 4))
-    with pytest.raises(ValueError, match="outside"):
+    rows = np.array([[0, 0, 0, 0], row, [1, 2, 3, 1]])
+    # Every wire lists a level for each digit it holds, so ``wire`` lists one above its dim.
+    states = oracle.to_levels(rows, [max(dim, d + 1) for dim, d in zip(c.dims, rows.max(axis=0))])
+    with pytest.raises(ValueError, match=f"^wire {wire} lists"):
         sim.run_batch(c, states)
 
 
-def test_run_batch_range_check_reads_extra_planes_without_listing_their_codes():
-    # 40 planes on a qubit wire hold 2^40 codes; only a set bit above plane 0 is out of range.
-    c = ir.extend(ir.new_circuit([Wire("a", 2)]), [ir.x(0)])
-    assert sim.run_batch(c, sim.Planes([[1] + [0] * 39], 1))[0].wires == [[0]]
-    with pytest.raises(ValueError, match="outside"):
-        sim.run_batch(c, sim.Planes([[1] + [0] * 38 + [1]], 1))
+@pytest.mark.parametrize("wire,levels,column", [
+    pytest.param(1, [0b001, 0b010, 0], None, id="row-in-no-level"),
+    pytest.param(2, [0b001, 0b010, 0, 0b110], None, id="row-in-two-levels"),
+    pytest.param(0, [0b001, 0b110, 0], None, id="dim-plus-1-levels"),
+    pytest.param(1, [0b001, np.int64(2), 0b100], None, id="level-not-an-int"),
+    pytest.param(2, [0b101, 0b010], [0, 1, 0], id="fewer-levels-than-dim"),
+])
+def test_run_batch_level_set_rules(wire, levels, column):
+    # Bit r of each level is row r; ``column`` is what the levels hold, or None when they break a rule.
+    c = mixed_circuit()
+    rows = np.array([[0, 0, 0], [1, 1, 1], [1, 2, 3]])
+    states = oracle.to_levels(rows, c.dims)
+    states.wires[wire] = levels
+    before = [list(lv) for lv in states.wires]
+    if column is None:
+        with pytest.raises(ValueError, match=f"^wire {wire} "):
+            sim.run_batch(c, states)
+    else:
+        rows[:, wire] = column
+        assert (oracle.from_levels(sim.run_batch(c, states)[0]) == oracle.run_rows(c, rows)[0]).all()
+    assert states.wires == before
 
 
 @pytest.mark.parametrize("row", [
     pytest.param([0, 0, -1], id="negative-on-a-ququart"),
     pytest.param([0, 4, 0], id="4-on-a-qutrit"),
+    pytest.param([0, 3, 0], id="3-on-a-qutrit"),
 ])
-def test_to_planes_rejects_digits_its_planes_cannot_hold(row):
-    # Without the check, -1 would pack as code 3 on the ququart and 4 as code 0 on the qutrit.
-    with pytest.raises(ValueError, match="does not fit"):
-        oracle.to_planes(np.array([[1, 2, 3], row]), mixed_circuit().dims)
+def test_to_levels_rejects_digits_outside_dim(row):
+    # Without the check, each of these digits would be in no level of its wire.
+    with pytest.raises(ValueError, match="outside"):
+        oracle.to_levels(np.array([[1, 2, 3], row]), mixed_circuit().dims)
 
 
 def test_run_batch_max_digit_ignores_padding_rows():
-    # The one row goes 0, 1, 0.  Every bit from 1 up is set, so the rows there hold 3,
-    # which the first gate takes to 0 and the second back to 3.
+    # The one row goes 0, 1, 0.  Every bit from 1 up is set in every level, so the rows
+    # there would hold 3 too, which the first gate takes to 0 and the second back to 3.
     c = ir.extend(ir.new_circuit([Wire("a", 4)]), [ir.incr(0, 1), ir.incr(0, 3)])
-    assert sim.run_batch(c, oracle.to_planes(np.array([[0]]), c.dims, padding=1), track_max=True)[1] == 1
+    assert sim.run_batch(c, oracle.to_levels(np.array([[0]]), c.dims, padding=1), track_max=True)[1] == 1
 
 
-@pytest.mark.parametrize("plane", [
+@pytest.mark.parametrize("level", [
     pytest.param(np.ones(1, np.uint64), id="one-uint64-word-for-200-rows"),
     pytest.param(np.int64(1), id="int64"),
     pytest.param(1.0, id="float"),
 ])
-def test_run_batch_rejects_planes_that_are_not_ints(plane):
+def test_run_batch_rejects_planes_that_are_not_ints(level):
     c = mixed_circuit()
-    states = oracle.to_planes(np.array([[1, 2, 3]] * 200), c.dims)
-    states.wires[0] = [plane]
+    states = oracle.to_levels(np.array([[1, 2, 3]] * 200), c.dims)
+    states.wires[0][1] = level
     with pytest.raises(ValueError, match="wire 0 "):
         sim.run_batch(c, states)
 
@@ -162,9 +179,8 @@ def test_statevector_cap():
 
 @st.composite
 def circuits(draw):
-    """Up to 8 gates on 2-4 wires of dims 2-5 (dim 5 takes 3 planes and leaves
-    codes 5-7 unused): flips, increments, swaps between equal-dim wires, each
-    with 0-2 controls on any digit value."""
+    """Up to 8 gates on 2-4 wires of dims 2-5: flips, increments, swaps between
+    equal-dim wires, each with 0-2 controls on any digit value."""
     dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
     wires = [Wire(f"q{i}", d) for i, d in enumerate(dims)]
     c = ir.new_circuit(wires)
@@ -275,22 +291,22 @@ def test_property_batch_matches_scalar_steps(cb):
     want, want_max = stepwise(c, states)
     # Every bit at and above n set: those bits are never checked, and never count
     # toward the largest digit.  The input is not modified.
-    ins = oracle.to_planes(states, c.dims, padding=1)
-    before = [list(planes) for planes in ins.wires]
+    ins = oracle.to_levels(states, c.dims, padding=1)
+    before = [list(lv) for lv in ins.wires]
     out, max_digit = sim.run_batch(c, ins, track_max=True)
     assert before == ins.wires
-    assert isinstance(out, sim.Planes) and len(out) == len(states)
-    assert [len(p) for p in out.wires] == [(d - 1).bit_length() for d in c.dims]
-    rows = oracle.from_planes(out)
+    assert isinstance(out, sim.Levels) and len(out) == len(states)
+    assert [len(lv) for lv in out.wires] == list(c.dims)
+    assert all(0 <= rows < 1 << len(states) for lv in out.wires for rows in lv)
+    rows = oracle.from_levels(out)
     assert [tuple(row) for row in rows.tolist()] == want
     assert max_digit == want_max
     untracked, zero = sim.run_batch(c, ins)
-    assert (oracle.from_planes(untracked) == rows).all() and zero == 0
-    # The gate loop alone, on level sets built straight from the digits as ``Bits``, gives
-    # the same rows and largest digit, with each row in exactly one level set per wire.
+    assert (oracle.from_levels(untracked) == rows).all() and zero == 0
+    # The gate loop alone, on the level sets of the digits as ``Bits``, gives the same
+    # rows and largest digit, with each row in exactly one level set per wire.
     floor = int(states.max(initial=0))
-    levels = [[Bits(sum(1 << r for r, d in enumerate(col) if d == v)) for v in range(dim)]
-              for col, dim in zip(states.T.tolist(), c.dims)]
+    levels = [[Bits(rows) for rows in lv] for lv in oracle.to_levels(states, c.dims).wires]
     seen = sim.run_gates(levels, c.dims, c.gates, floor)
     got = [[[v for v, rows in enumerate(lv) if rows.v >> r & 1] for lv in levels] for r in range(len(states))]
     assert got == [[[d] for d in digits] for digits in want]
@@ -314,9 +330,9 @@ def test_run_batch_matches_scalar_steps_on_high_dims(dim, n):
     ]
     ir.extend(c, gates)
     states = np.random.default_rng(dim).integers(0, (2, 2, 3), size=(n, 3))
-    out, max_digit = sim.run_batch(c, oracle.to_planes(states, c.dims, padding=1), track_max=True)
+    out, max_digit = sim.run_batch(c, oracle.to_levels(states, c.dims, padding=1), track_max=True)
     want, want_max = stepwise(c, states)
-    assert [tuple(row) for row in oracle.from_planes(out).tolist()] == want
+    assert [tuple(row) for row in oracle.from_levels(out).tolist()] == want
     assert max_digit == want_max
 
 
