@@ -84,7 +84,7 @@ def gates_compress_241(a: int, b: int) -> list[Gate]:
 
 def build_compress_231() -> Circuit:
     """The 2-3-1 group compressor on binary-input qutrits A, B, C."""
-    circ = ir.new_circuit(ir.binary_wires("ABC", 3))
+    circ = ir.new_circuit([Wire(n, 3) for n in "ABC"])
     return ir.extend(circ, gates_compress_231(0, 1, 2))
 
 
@@ -96,15 +96,6 @@ def build_compress_241() -> Circuit:
 
 # The one scheme registry: each built scheme's group gate emitter.
 REGISTRY = {SCHEME_231: gates_compress_231, SCHEME_241: gates_compress_241}
-
-
-def group_gates(scheme: CompressionScheme, wires: tuple[int, ...]) -> list[Gate]:
-    """One group's compressor on its m ``wires``; the wires past n_out end at 0."""
-    try:
-        emit = REGISTRY[scheme]
-    except KeyError:
-        raise ValueError(f"no circuit builder for scheme {scheme.label}") from None
-    return emit(*wires)
 
 
 @dataclass(frozen=True)
@@ -126,5 +117,9 @@ def layout_block(wires: list[int], scheme: CompressionScheme) -> CompressedLayou
 
 
 def block_gates(scheme: CompressionScheme, layout: CompressedLayout) -> list[Gate]:
-    """The block compressor: each group of ``layout`` compressed in order."""
-    return [g for group in layout.groups for g in group_gates(scheme, group)]
+    """The block compressor: each group of ``layout`` compressed in order by the scheme's emitter."""
+    try:
+        emit = REGISTRY[scheme]
+    except KeyError:
+        raise ValueError(f"no circuit builder for scheme {scheme.label}") from None
+    return [g for group in layout.groups for g in emit(*group)]

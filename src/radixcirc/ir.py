@@ -179,11 +179,6 @@ def new_circuit(wires: Sequence[Wire], input_bounds: Sequence[int] = ()) -> Circ
     return Circuit(tuple(wires), [], tuple(input_bounds))
 
 
-def binary_wires(names: Sequence[str], dim: int = 2) -> list[Wire]:
-    """Wires with binary input interface on capacity-``dim`` devices."""
-    return [Wire(n, dim) for n in names]
-
-
 def extend(c: Circuit, gates: Iterable[Gate]) -> Circuit:
     for g in gates:
         c.validate_gate(g)
@@ -242,14 +237,12 @@ def cancel_inverses(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
 def depth(c: Circuit) -> int:
     """ASAP layering; controls occupy their wires like targets."""
     level = [0] * c.width
-    d = 0
     for g in c.gates:
         touched = g.wires()
         layer = 1 + max(level[w] for w in touched)
         for w in touched:
             level[w] = layer
-        d = max(d, layer)
-    return d
+    return max(level, default=0)
 
 
 # --- JSON interchange ---------------------------------------------------

@@ -22,22 +22,25 @@ TWO_CONTROLLED_EXPANSION = {2: 6, 1: 10}
 class ResourceReport:
     """Aggregate counts for one circuit.
 
-    ``gate_counts`` maps (arity, dim_class) to a count.  ``depth_exact`` is
-    False after cost-model expansion, when the stored depth describes the
-    unexpanded circuit.  ``ancilla_generated`` is filled in by callers that
-    know the plan (it cannot be read off the gate list).
+    ``gate_counts`` maps (arity, dim_class) to a count; ``max_dim_touched`` is its
+    largest dim class.  ``depth_exact`` is False after cost-model expansion, when the
+    stored depth describes the unexpanded circuit.  ``ancilla_generated`` is filled
+    in by callers that know the plan (it cannot be read off the gate list).
     """
 
     width: int
     depth: int
     gate_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    max_dim_touched: int = 0
     ancilla_generated: int | None = None
     depth_exact: bool = True
 
     @property
     def total_gates(self) -> int:
         return sum(self.gate_counts.values())
+
+    @property
+    def max_dim_touched(self) -> int:
+        return max((dim for _, dim in self.gate_counts), default=0)
 
     def count_by_arity(self, arity: int) -> int:
         return sum(n for (a, _), n in self.gate_counts.items() if a == arity)
@@ -63,17 +66,14 @@ def report(c: Circuit, ancilla_generated: int | None = None) -> ResourceReport:
     """Exact per-bucket gate counts plus depth and touched-dim maximum."""
     dims = c.dims
     counts: dict[tuple[int, int], int] = {}
-    max_dim = 0
     for g in c.gates:
         dim_class = max(dims[w] for w in g.wires())
-        max_dim = max(max_dim, dim_class)
         key = (g.arity, dim_class)
         counts[key] = counts.get(key, 0) + 1
     return ResourceReport(
         width=c.width,
         depth=ir.depth(c),
         gate_counts=counts,
-        max_dim_touched=max_dim,
         ancilla_generated=ancilla_generated,
     )
 
@@ -85,18 +85,16 @@ def expand_cost_model(r: ResourceReport) -> ResourceReport:
     pre-expansion value and marked inexact; idempotent once no arity-3
     buckets remain.
     """
+    if not r.count_by_arity(3):
+        return r
     counts: dict[tuple[int, int], int] = {}
-    expanded_any = False
     for (arity, dim), n in r.gate_counts.items():
         if arity == 3:
-            expanded_any = True
             for new_arity, factor in TWO_CONTROLLED_EXPANSION.items():
                 key = (new_arity, dim)
                 counts[key] = counts.get(key, 0) + factor * n
         else:
             counts[(arity, dim)] = counts.get((arity, dim), 0) + n
-    if not expanded_any:
-        return r
     return replace(r, gate_counts=counts, depth_exact=False)
 
 

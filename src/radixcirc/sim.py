@@ -69,7 +69,7 @@ def run(c: Circuit, s: BasisState) -> BasisState:
 @dataclass
 class Levels:
     """A batch of ``n`` basis states: ``wires[w][v]`` is a Python int whose bit r is set where
-    wire w holds v on row r.  A level a wire does not list is empty; bits n and up are ignored."""
+    wire w holds v on row r.  A level a wire does not list is empty; every level is below 2**n."""
 
     wires: list[list[int]]
     n: int
@@ -146,11 +146,11 @@ def run_gates(levels: list[list], dims: tuple[int, ...], gates, floor: int | Non
 def run_batch(c: Circuit, states: Levels, track_max: bool = False) -> tuple[Levels, int]:
     """Run a ``Levels`` batch of basis states through ``c`` with ``run_gates``.
 
-    ``states`` has one entry per wire of ``c``, each a list of at most ``dim`` Python ints,
-    and every row below ``n`` is in exactly one listed level of each wire, else ``ValueError``
-    naming the wire; it is not modified.  Returns the outputs, ``dim`` levels per wire below
-    ``2**n``, and, when ``track_max`` is set, the largest digit on any wire at any point
-    during execution (inputs included), else 0.  Bits n and above are neither checked nor counted.
+    ``states`` has one entry per wire of ``c``, each a list of at most ``dim`` non-negative
+    Python ints below ``2**n``, and every row is in exactly one listed level of each wire,
+    else ``ValueError`` naming the wire; it is not modified.  Returns the outputs, ``dim``
+    levels per wire, and, when ``track_max`` is set, the largest digit on any wire at any
+    point during execution (inputs included), else 0.
     """
     dims = c.dims
     if len(states.wires) != c.width:
@@ -162,10 +162,9 @@ def run_batch(c: Circuit, states: Levels, track_max: bool = False) -> tuple[Leve
             raise ValueError(f"wire {w} has a level that is not a Python int")
         if len(lv) > dim:
             raise ValueError(f"wire {w} lists {len(lv)} levels, more than its dim {dim}")
-        lv = [x & ones for x in lv]
-        # With every row in some level, the sum of the levels is ``ones`` only if no row is in two.
+        # An OR of ``ones`` puts every level in [0, 2**n); then a sum of ``ones`` puts no row in two.
         if functools.reduce(operator.or_, lv, 0) != ones or sum(lv) != ones:
-            raise ValueError(f"wire {w} does not hold exactly one digit on every row")
+            raise ValueError(f"wire {w} does not hold exactly one digit on every row below {states.n}, and none above")
         levels.append(lv + [0] * (dim - len(lv)))
     floor = max((v for lv in levels for v, rows in enumerate(lv) if rows), default=0) if track_max else None
     seen = run_gates(levels, dims, c.gates, floor)

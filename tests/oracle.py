@@ -1,7 +1,8 @@
 """Independent test oracle: the adder contract as big-integer arithmetic
 (``adder_inputs``, ``adder_outputs``), a dense statevector simulator,
-basis-state sweeps, the reference format-1 document ``ir.dumps`` must write
-(``circuit_to_doc``) and the format-0 document earlier versions wrote
+basis-state sweeps, ASAP depth by pairwise comparison of gates
+(``reference_depth``), the reference format-1 document ``ir.dumps`` must
+write (``circuit_to_doc``) and the format-0 document earlier versions wrote
 (``circuit_to_dict``), and the only conversions between dense (n, width)
 rows and ``sim.Levels`` (``to_levels``, ``from_levels``), written with
 numpy's bit packing and ``int.from_bytes``/``int.to_bytes``.  ``run_rows``
@@ -68,21 +69,18 @@ def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) ->
     return exp
 
 
-def to_levels(states: np.ndarray, dims: tuple[int, ...], padding: int = 0) -> Levels:
-    """Dense (n, width) digits as ``Levels``, ``dim`` levels per wire, with every bit at
-    and above n of each level set to ``padding``.  A digit outside ``[0, dim)`` of its
-    wire raises ``ValueError``."""
+def to_levels(states: np.ndarray, dims: tuple[int, ...]) -> Levels:
+    """Dense (n, width) digits as ``Levels``, ``dim`` levels per wire, each below 2**n.
+    A digit outside ``[0, dim)`` of its wire raises ``ValueError``."""
     states = np.asarray(states)
-    n = len(states)
-    high = -1 << n if padding else 0  # a Python int with every bit from n up set
     wires = []
     for w, dim in enumerate(dims):
         col = states[:, w]
         if ((col < 0) | (col >= dim)).any():
             raise ValueError(f"wire {w} holds a digit outside [0, {dim})")
-        wires.append([int.from_bytes(np.packbits(col == v, bitorder="little").tobytes(), "little") | high
+        wires.append([int.from_bytes(np.packbits(col == v, bitorder="little").tobytes(), "little")
                       for v in range(dim)])
-    return Levels(wires, n)
+    return Levels(wires, len(states))
 
 
 def from_levels(p: Levels, dtype=np.int64) -> np.ndarray:
@@ -116,8 +114,19 @@ def all_basis_states(c: Circuit, bounds: tuple[int, ...] | None = None) -> Itera
 
 
 def interface_states(c: Circuit) -> Iterator[BasisState]:
-    """All inputs allowed by the circuit's declared interface bounds."""
-    return all_basis_states(c, c.input_bounds)
+    """Every binary input: each wire holds 0 or 1."""
+    return all_basis_states(c, (2,) * c.width)
+
+
+def reference_depth(c: Circuit) -> int:
+    """ASAP depth by pairwise comparison: each gate's layer is 1 + the largest layer of
+    any earlier gate that shares a wire with it (0 when none does)."""
+    layers: list[int] = []
+    for g in c.gates:
+        wires = set(g.wires())
+        earlier = [layer for h, layer in zip(c.gates, layers) if wires & set(h.wires())]
+        layers.append(1 + max(earlier, default=0))
+    return max(layers, default=0)
 
 
 def circuit_to_doc(c: Circuit) -> dict:
@@ -156,7 +165,7 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 def forward_then_inverse(c: Circuit) -> Circuit:
     """``c`` followed by its inverse: the identity when ``ir.invert_gates`` is right."""
-    out = ir.new_circuit(c.wires, c.input_bounds)
+    out = ir.new_circuit(c.wires)
     return ir.extend(out, [*c.gates, *ir.invert_gates(c.gates, c.dims)])
 
 

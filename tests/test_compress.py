@@ -80,10 +80,10 @@ def test_decompress_round_trip():
             assert sim.run(both, s) == s
 
 
-def test_group_gates_unknown_scheme():
+def test_block_gates_unknown_scheme():
     other = cmp.CompressionScheme(x=2, y=8, m=4, n_out=2)
     with pytest.raises(ValueError, match="no circuit builder for scheme 2-8-2"):
-        cmp.group_gates(other, (0, 1, 2, 3))
+        cmp.block_gates(other, cmp.layout_block([0, 1, 2, 3], other))
 
 
 def test_layout_block_grouping():
@@ -99,7 +99,7 @@ def test_layout_block_grouping():
 def test_block_compress_restores_on_inverse():
     layout = cmp.layout_block(list(range(6)), cmp.SCHEME_231)
     assert layout.ancilla == (2, 5)
-    circ = ir.new_circuit([ir.Wire(f"q{i}", 3) for i in range(6)], input_bounds=(2,) * 6)
+    circ = ir.new_circuit([ir.Wire(f"q{i}", 3) for i in range(6)])
     ir.extend(circ, cmp.block_gates(cmp.SCHEME_231, layout))
     both = oracle.forward_then_inverse(circ)
     for s in oracle.interface_states(circ):

@@ -105,7 +105,7 @@ def test_image_matches_reference_and_inverts(dim):
 
 
 def test_depth_counts_controls_as_occupancy():
-    wires = ir.binary_wires(["a", "b", "c", "d"])
+    wires = [ir.Wire(n, 2) for n in "abcd"]
     c = ir.new_circuit(wires)
     # cx(a,b) and cx(c,d) are parallel; cx(b,c) must wait for both.
     ir.extend(c, [ir.cx(0, 1), ir.cx(2, 3), ir.cx(1, 2)])
@@ -114,7 +114,7 @@ def test_depth_counts_controls_as_occupancy():
 
 
 def test_depth_serial_chain():
-    c = ir.new_circuit(ir.binary_wires(["a", "b"]))
+    c = ir.new_circuit([ir.Wire(n, 2) for n in "ab"])
     ir.extend(c, [ir.cx(0, 1)] * 5)
     assert ir.depth(c) == 5
 
@@ -232,8 +232,27 @@ def test_property_dumps_matches_stdlib_and_round_trips(c, indent):
     assert_reads_back(json.dumps(oracle.circuit_to_dict(c), indent=indent), c)
 
 
+def assert_depth_and_max_dim(c: Circuit) -> None:
+    """``ir.depth`` against the oracle's layering, and the report's ``max_dim_touched``
+    against the largest dim of a wire some gate touches."""
+    assert ir.depth(c) == oracle.reference_depth(c)
+    touched = [c.dims[w] for g in c.gates for w in g.wires()]
+    assert resources.report(c).max_dim_touched == max(touched, default=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_circuits())
+def test_property_depth_matches_reference_layering(c):
+    assert_depth_and_max_dim(c)
+
+
+@pytest.mark.parametrize("circ", [pytest.param(c, id=name) for name, c in small_circuits()])
+def test_depth_matches_reference_layering(circ):
+    assert_depth_and_max_dim(circ)
+
+
 def test_loads_shares_repeated_gates():
-    c = ir.new_circuit(ir.binary_wires(["a", "b"]))
+    c = ir.new_circuit([ir.Wire(n, 2) for n in "ab"])
     ir.extend(c, [ir.cx(0, 1), ir.x(0), ir.cx(0, 1)])
     back = ir.loads(ir.dumps(c))
     assert back.gates == c.gates

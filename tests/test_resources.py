@@ -4,7 +4,7 @@ from radixcirc.ir import Wire
 
 
 def test_empty_circuit_reports_zeros():
-    r = resources.report(ir.new_circuit(ir.binary_wires(["a", "b"])))
+    r = resources.report(ir.new_circuit([ir.Wire(n, 2) for n in "ab"]))
     assert r.total_gates == 0
     assert r.depth == 0
     assert r.max_dim_touched == 0
@@ -49,7 +49,7 @@ def test_expand_cost_model_idempotent_without_arity3():
 
 
 def test_expand_cost_model_linear():
-    wires = ir.binary_wires(["a", "b", "c", "d"])
+    wires = [ir.Wire(n, 2) for n in "abcd"]
     c = ir.new_circuit(wires)
     ir.extend(c, [ir.ccx(0, 1, 2), ir.ccx(1, 2, 3)])
     e = resources.expand_cost_model(resources.report(c))

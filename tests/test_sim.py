@@ -72,7 +72,7 @@ def test_run_is_permutation_on_full_space():
 
 def test_interface_states_honor_bounds():
     wires = [Wire("a", 3), Wire("b", 3)]
-    c = ir.new_circuit(wires, input_bounds=(2, 2))
+    c = ir.new_circuit(wires)
     assert len(list(oracle.interface_states(c))) == 4
     assert len(list(oracle.all_basis_states(c))) == 9
 
@@ -108,6 +108,8 @@ def test_run_batch_rejects_digits_outside_dim(row, wire):
     pytest.param(0, [0b001, 0b110, 0], None, id="dim-plus-1-levels"),
     pytest.param(1, [0b001, np.int64(2), 0b100], None, id="level-not-an-int"),
     pytest.param(2, [0b101, 0b010], [0, 1, 0], id="fewer-levels-than-dim"),
+    pytest.param(1, [0b1001, 0b010, 0b100], None, id="bit-n-set"),
+    pytest.param(0, [-1], None, id="negative-level"),
 ])
 def test_run_batch_level_set_rules(wire, levels, column):
     # Bit r of each level is row r; ``column`` is what the levels hold, or None when they break a rule.
@@ -134,13 +136,6 @@ def test_to_levels_rejects_digits_outside_dim(row):
     # Without the check, each of these digits would be in no level of its wire.
     with pytest.raises(ValueError, match="outside"):
         oracle.to_levels(np.array([[1, 2, 3], row]), mixed_circuit().dims)
-
-
-def test_run_batch_max_digit_ignores_padding_rows():
-    # The one row goes 0, 1, 0.  Every bit from 1 up is set in every level, so the rows
-    # there would hold 3 too, which the first gate takes to 0 and the second back to 3.
-    c = ir.extend(ir.new_circuit([Wire("a", 4)]), [ir.incr(0, 1), ir.incr(0, 3)])
-    assert sim.run_batch(c, oracle.to_levels(np.array([[0]]), c.dims, padding=1), track_max=True)[1] == 1
 
 
 @pytest.mark.parametrize("level", [
@@ -289,9 +284,7 @@ def stepwise(c, states):
 def test_property_batch_matches_scalar_steps(cb):
     c, states = cb
     want, want_max = stepwise(c, states)
-    # Every bit at and above n set: those bits are never checked, and never count
-    # toward the largest digit.  The input is not modified.
-    ins = oracle.to_levels(states, c.dims, padding=1)
+    ins = oracle.to_levels(states, c.dims)
     before = [list(lv) for lv in ins.wires]
     out, max_digit = sim.run_batch(c, ins, track_max=True)
     assert before == ins.wires
@@ -330,7 +323,7 @@ def test_run_batch_matches_scalar_steps_on_high_dims(dim, n):
     ]
     ir.extend(c, gates)
     states = np.random.default_rng(dim).integers(0, (2, 2, 3), size=(n, 3))
-    out, max_digit = sim.run_batch(c, oracle.to_levels(states, c.dims, padding=1), track_max=True)
+    out, max_digit = sim.run_batch(c, oracle.to_levels(states, c.dims), track_max=True)
     want, want_max = stepwise(c, states)
     assert [tuple(row) for row in oracle.from_levels(out).tolist()] == want
     assert max_digit == want_max
