@@ -63,13 +63,6 @@ def _require(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
-def _scheme(name) -> cmp.CompressionScheme:
-    try:
-        return cmp.scheme_by_name(name)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def _require_k(args) -> int:
     _require(args.k is not None and 0 <= args.k < 1 << args.n, f"--k in [0, 2^{args.n}) is required for kind {args.kind}")
     return args.k
@@ -77,16 +70,19 @@ def _require_k(args) -> int:
 
 def _block_plan(args) -> bb.BlockPlan:
     mode = bb.MODE_AB if args.kind == "block-adder" else bb.MODE_PLUS_K
-    scheme = _scheme(args.scheme)
+    try:
+        scheme = cmp.scheme_by_name(args.scheme)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     plan = bb.plan_blocks(mode, scheme, args.n)
     if plan is None:
         raise UsageError(bb.infeasible_reason(mode, scheme, args.n))
     return plan
 
 
-def build_kind(args) -> tuple[Circuit, AdderWiring | None]:
-    """Construct the circuit named by ``args.kind``, with the layout its builder
-    placed the gates by; None for the compressors."""
+def build_kind(args, gates: bool = True) -> tuple[Circuit, AdderWiring | None]:
+    """Construct the circuit named by ``args.kind``, with the layout its builder placed the gates
+    by (None for the compressors); without ``gates``, a block kind's wires alone, from its plan."""
     kind = args.kind
     if kind == "compress231":
         return cmp.build_compress_231(), None
@@ -104,9 +100,12 @@ def build_kind(args) -> tuple[Circuit, AdderWiring | None]:
             built = build_plus_k(args.n, _require_k(args), *carries)
         return built.circuit, built.wiring
     plan = _block_plan(args)
-    if kind == "block-adder":
-        return bb.build_block_adder(plan, *carries), plan.layout(*carries)
-    return bb.build_block_plus_k(plan, _require_k(args), *carries), plan.layout(*carries)
+    layout = plan.layout(*carries)
+    k = None if kind == "block-adder" else _require_k(args)
+    if not gates:
+        return layout.new_circuit(plan.scheme.y), layout
+    circ = bb.build_block_adder(plan, *carries) if k is None else bb.build_block_plus_k(plan, k, *carries)
+    return circ, layout
 
 
 # --- oracles ---------------------------------------------------------------
@@ -163,11 +162,10 @@ def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: 
 
 def run_verify(args) -> int:
     kind = args.kind
-    built_circ, layout = build_kind(args)
-    circ = built_circ
+    circ, layout = build_kind(args, gates=not args.circuit)
     if args.circuit:
-        circ = ir.loads(Path(args.circuit).read_text())
-        _require(circ.dims == built_circ.dims, "circuit file wire dims do not match kind flags")
+        dims, circ = circ.dims, ir.loads(Path(args.circuit).read_text())
+        _require(circ.dims == dims, "circuit file wire dims do not match kind flags")
 
     cols = list(range(circ.width)) if layout is None else layout.inputs
     ins = _input_levels(circ.width, cols, args.exhaustive, args.samples, args.seed)

@@ -3,6 +3,12 @@ tracks one digit per wire: ``run`` for a single basis state, and ``run_batch``
 for many at once, for verification sweeps.  Both read what a flip or increment
 does to a digit from ``ir.image``.
 
+``run`` compiles a circuit once into one tuple per gate, ``(w0, v0, w1, v1, t, u,
+table)``: where w0 holds v0 and w1 holds v1, it swaps wires t and u when ``table``
+is None, else maps t's digit by ``table``, the ``ir.image``; a missing control
+names wire ``width``, a slot ``run`` holds at 0.  The program is cached on the
+circuit, keyed by its wires, gate list and gate count, so ``ir.extend`` recompiles.
+
 ``run_batch`` is bit-sliced (Biham, FSE 1997) and takes and returns
 ``Levels``, its only batch form: ``wires[w][v]`` is a Python int whose bit r is
 set where wire w holds v on row r, one level set per digit.  Its gate loop,
@@ -22,14 +28,12 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .ir import SWAP, Circuit, image
+from .ir import SWAP, Circuit, CircuitError, image
 
 
 @dataclass(frozen=True)
 class BasisState:
-    """One integer digit per wire, each below the wire's dimension."""
+    """One integer digit (any object with ``__index__``) per wire, each below the wire's dimension."""
 
     digits: tuple[int, ...]
     dims: tuple[int, ...]
@@ -38,7 +42,7 @@ class BasisState:
         if len(self.digits) != len(self.dims):
             raise ValueError("digit count must match wire count")
         for d, dim in zip(self.digits, self.dims):
-            if not isinstance(d, (int, np.integer)) or not 0 <= d < dim:
+            if not (hasattr(type(d), "__index__") and 0 <= d < dim):
                 raise ValueError(f"digit {d!r} is not an integer in [0, {dim})")
 
 
@@ -46,24 +50,36 @@ def basis_state(circuit: Circuit, digits: Iterable[int]) -> BasisState:
     return BasisState(tuple(digits), circuit.dims)
 
 
+def _program(c: Circuit) -> tuple:
+    """``(key, dims, program)`` for ``c``, compiled anew when ``key`` (wires, gate list, count) changes."""
+    key = c.wires, c.gates, len(c.gates)
+    got = c.__dict__.get("_program")
+    if got is None or got[0] != key:
+        if not {w for g in c.gates for w in g.wires()} <= set(range(c.width)):
+            raise CircuitError("a gate touches a wire outside the circuit")
+        dims, pad = c.dims, (c.width, 0)
+        program = []
+        for g in c.gates:
+            (w0, v0), (w1, v1) = (*g.controls, pad, pad)[:2]
+            t, u = g.targets[0], g.targets[-1]
+            program.append((w0, v0, w1, v1, t, u, None if g.kind == SWAP else image(g.kind, g.params, dims[t])))
+        got = c.__dict__["_program"] = key, dims, program
+    return got
+
+
 def run(c: Circuit, s: BasisState) -> BasisState:
     """The state after ``c``: each gate whose controls hold swaps or maps its targets by ``ir.image``."""
-    if s.dims != c.dims:
+    _, dims, program = _program(c)
+    if s.dims != dims:
         raise ValueError("state dims do not match circuit wires")
-    dims = s.dims
-    digits = list(s.digits)
-    for g in c.gates:
-        for w, v in g.controls:
-            if digits[w] != v:
-                break
-        else:
-            if g.kind == SWAP:
-                t0, t1 = g.targets
-                digits[t0], digits[t1] = digits[t1], digits[t0]
+    digits = [*s.digits, 0]
+    for w0, v0, w1, v1, t, u, table in program:
+        if digits[w0] == v0 and digits[w1] == v1:
+            if table is None:
+                digits[t], digits[u] = digits[u], digits[t]
             else:
-                t = g.targets[0]
-                digits[t] = image(g.kind, g.params, dims[t])[digits[t]]
-    return BasisState(tuple(digits), dims)
+                digits[t] = table[digits[t]]
+    return BasisState(tuple(digits[:-1]), dims)
 
 
 @dataclass

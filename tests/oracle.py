@@ -71,31 +71,39 @@ def adder_outputs(layout: AdderWiring, ins: np.ndarray, k: int | None = None) ->
 
 def to_levels(states: np.ndarray, dims: tuple[int, ...]) -> Levels:
     """Dense (n, width) digits as ``Levels``, ``dim`` levels per wire, each below 2**n.
-    A digit outside ``[0, dim)`` of its wire raises ``ValueError``."""
-    states = np.asarray(states)
-    wires = []
-    for w, dim in enumerate(dims):
-        col = states[:, w]
-        if ((col < 0) | (col >= dim)).any():
-            raise ValueError(f"wire {w} holds a digit outside [0, {dim})")
-        wires.append([int.from_bytes(np.packbits(col == v, bitorder="little").tobytes(), "little")
-                      for v in range(dim)])
+    A digit outside ``[0, dim)`` of its wire raises ``ValueError``.  Level v of every wire
+    comes from one ``packbits`` of the rows' ``== v`` matrix, whatever the row count."""
+    states = np.asarray(states)[:, :len(dims)]
+    outside = ((states < 0) | (states >= np.asarray(dims, dtype=np.int64))).any(axis=0)
+    if outside.any():
+        w = int(outside.argmax())
+        raise ValueError(f"wire {w} holds a digit outside [0, {dims[w]})")
+    size = -(-len(states) // 8)
+    wires = [[] for _ in dims]
+    for v in range(max(dims, default=0)):
+        packed = np.packbits(states == v, axis=0, bitorder="little").T.tobytes()
+        for w, dim in enumerate(dims):
+            if v < dim:
+                wires[w].append(int.from_bytes(packed[w * size:(w + 1) * size], "little"))
     return Levels(wires, len(states))
 
 
 def from_levels(p: Levels, dtype=np.int64) -> np.ndarray:
     """The (n, width) digits of the first ``p.n`` rows of ``p``.  A row that is in no
-    level of a wire, or in two, raises ``ValueError``."""
-    out = np.zeros((p.n, len(p.wires)), dtype=dtype)
-    for w, levels in enumerate(p.wires):
-        hits = np.zeros(p.n, dtype=np.int64)
-        for v, rows in enumerate(levels):
-            packed = (rows & (1 << p.n) - 1).to_bytes(-(-p.n // 8), "little")
-            bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")[:p.n]
-            out[:, w] += bits.astype(dtype) * v
-            hits += bits
-        if (hits != 1).any():
-            raise ValueError(f"wire {w} does not hold exactly one digit on every row")
+    level of a wire, or in two, raises ``ValueError``.  Level v of every wire is unpacked
+    by one ``unpackbits``, whatever the row count."""
+    size, width, mask = -(-p.n // 8), len(p.wires), (1 << p.n) - 1
+    out = np.zeros((p.n, width), dtype=dtype)
+    hits = np.zeros((p.n, width), dtype=np.int64)
+    for v in range(max(map(len, p.wires), default=0)):
+        packed = b"".join((lv[v] & mask if v < len(lv) else 0).to_bytes(size, "little") for lv in p.wires)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(width, size), axis=1,
+                             bitorder="little")[:, :p.n].T
+        out += bits.astype(dtype) * v
+        hits += bits
+    wrong = (hits != 1).any(axis=0)
+    if wrong.any():
+        raise ValueError(f"wire {int(wrong.argmax())} does not hold exactly one digit on every row")
     return out
 
 

@@ -177,20 +177,25 @@ def test_criterion_7_intermediate_radix_bound(capsys):
     _check(7, "intermediate radix bound", capsys, body)
 
 
-# A+B block adders with a carry-out: scheme, its block count, and n doubling up to 1920.
-DEPTH_SERIES = [(cmp.SCHEME_231, 5, [30 << i for i in range(7)]), (cmp.SCHEME_241, 4, [60 << i for i in range(6)])]
+# A+B block adders with a carry-out: scheme, its block count, n doubling up to 1920, and
+# the depths README's criterion-8 table gives.
+DEPTH_SERIES = [
+    (cmp.SCHEME_231, 5, [30 << i for i in range(7)], [218, 248, 274, 301, 329, 357, 385]),
+    (cmp.SCHEME_241, 4, [60 << i for i in range(6)], [169, 191, 213, 235, 257, 279]),
+]
 
 
 def test_criterion_8_depth_scaling(capsys):
     def body():
         t0 = time.perf_counter()
-        for scheme, c, sizes in DEPTH_SERIES:
+        for scheme, c, sizes, readme in DEPTH_SERIES:
             depths = []
             for n in sizes:
                 plan = bb.plan_blocks(bb.MODE_AB, scheme, n)
                 circ = bb.build_block_adder(plan, carry_out=True)
                 assert plan.c == c and circ.width == 2 * n + 1, (scheme.label, n)  # zero external ancilla
                 depths.append(ir.depth(circ))
+            assert depths == readme, scheme.label
             # O(log n) depth: each doubling of n adds a bounded number of layers.
             diffs = [b - a for a, b in zip(depths, depths[1:])]
             assert 0 < min(diffs) and max(diffs) <= 32, (scheme.label, depths)

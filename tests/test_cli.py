@@ -216,6 +216,35 @@ def test_verify_circuit_of_other_scheme_exits_2(tmp_path, capsys):
     assert "wire dims do not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kind", "block-adder", "--n", "30", "--scheme", "231", "--carry-out"],
+    ["--kind", "block-plus-k", "--n", "36", "--scheme", "241", "--carry-in", "--carry-out", "--k", "45812984490"],
+])
+def test_verify_circuit_takes_wires_from_the_plan(tmp_path, capsys, monkeypatch, flags):
+    # With --circuit, a block kind's dims and layout come from its plan: no gate is built.
+    out = tmp_path / "b.json"
+    assert run_cli("build", *flags, "--out", str(out)) == 0
+    for name in ("build_block_adder", "build_block_plus_k"):
+        monkeypatch.setattr(bb, name, None)
+    capsys.readouterr()
+    assert run_cli("verify", *flags, "--samples", "300", "--seed", "2", "--circuit", str(out)) == 0
+    assert capsys.readouterr().out == f"PASS {flags[1]}: 300 cases\n"
+    no_carry_out = [f for f in flags if f != "--carry-out"]
+    assert run_cli("verify", *no_carry_out, "--samples", "9", "--circuit", str(out)) == 2
+    assert "wire dims do not match" in capsys.readouterr().err
+    if "--k" in flags:
+        assert run_cli("verify", *flags[:-2], "--samples", "9", "--circuit", str(out)) == 2
+        assert "--k in [0, 2^36) is required" in capsys.readouterr().err
+
+
+def test_readme_n240_file_size(tmp_path, capsys):
+    # README: the n=240 2-3-1 carry-out adder has 2,517 distinct gates of 9,109; its file is 155,513 bytes.
+    out = tmp_path / "a240.json"
+    assert run_cli("build", "--kind", "block-adder", "--n", "240", "--scheme", "231", "--carry-out", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (len(doc["table"]), len(doc["gates"]), out.stat().st_size) == (2517, 9109, 155513)
+
+
 def test_verify_exhaustive_too_large_exits_2():
     assert run_cli("verify", "--kind", "cla-adder", "--n", "16", "--exhaustive") == 2
 

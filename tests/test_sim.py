@@ -173,10 +173,10 @@ def test_statevector_cap():
 
 
 @st.composite
-def circuits(draw):
-    """Up to 8 gates on 2-4 wires of dims 2-5: flips, increments, swaps between
-    equal-dim wires, each with 0-2 controls on any digit value."""
-    dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+def circuits(draw, max_dim=5):
+    """Up to 8 gates on 2-4 wires of dims 2 to ``max_dim``: flips, increments, swaps
+    between equal-dim wires, each with 0-2 controls on any digit value."""
+    dims = draw(st.lists(st.integers(2, max_dim), min_size=2, max_size=4))
     wires = [Wire(f"q{i}", d) for i, d in enumerate(dims)]
     c = ir.new_circuit(wires)
     for _ in range(draw(st.integers(0, 8))):
@@ -306,6 +306,51 @@ def test_property_batch_matches_scalar_steps(cb):
     assert max([v for v, hit in seen.items() if hit.v], default=floor) == want_max
 
 
+@st.composite
+def high_dim_circuit_and_batch(draw):
+    """A circuit on wires of dims 2-9 and up to 9 rows of any digits on them."""
+    c = draw(circuits(max_dim=9))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, d - 1) for d in c.dims]), max_size=9))
+    return c, np.array(rows, dtype=np.int64).reshape(len(rows), c.width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(high_dim_circuit_and_batch())
+def test_property_run_matches_steps_and_batch(cb):
+    # The compiled whole-circuit ``run`` against one-gate circuits and against ``run_batch``.
+    c, states = cb
+    want, _ = stepwise(c, states)
+    assert [sim.run(c, sim.basis_state(c, digits)).digits for digits in states.tolist()] == want
+    assert [tuple(row) for row in oracle.run_rows(c, states)[0].tolist()] == want
+
+
+def test_run_sees_gates_extended_after_a_run():
+    c = ir.extend(ir.new_circuit([Wire("a", 2), Wire("b", 3)]), [ir.incr(1, 1, [(0, 1)])])
+    s = sim.basis_state(c, [1, 0])
+    assert sim.run(c, s).digits == (1, 1)
+    ir.extend(c, [ir.incr(1, 1, [(0, 1)])])
+    assert sim.run(c, s).digits == (1, 2)
+    ir.extend(c, [ir.x(0, [(1, 2)])])
+    assert sim.run(c, s).digits == (0, 2)
+
+
+def test_run_rejects_a_digit_an_unvalidated_gate_puts_outside_its_wire():
+    # ``Circuit`` itself does not call ``validate_gate``: flip(0, 0, 5) on a qubit sends 0 to 5.
+    c = ir.Circuit((Wire("a", 2), Wire("b", 2)), [ir.flip(0, 0, 5, [(1, 1)])])
+    assert sim.run(c, sim.basis_state(c, [0, 0])).digits == (0, 0)
+    with pytest.raises(ValueError, match=r"digit 5 is not an integer in \[0, 2\)"):
+        sim.run(c, sim.basis_state(c, [0, 1]))
+
+
+@pytest.mark.parametrize("gate", [ir.x(0, [(2, 0)]), ir.x(0, [(-1, 1)]), ir.x(2), ir.x(-1), ir.swap(0, 2)],
+                         ids=["control-on-width", "negative-control", "target-width", "negative-target", "swap-to-width"])
+def test_run_rejects_an_unvalidated_gate_on_a_wire_outside_the_circuit(gate):
+    # Wire ids index the digits directly, and index ``width`` is the slot a missing control reads.
+    c = ir.Circuit((Wire("a", 2), Wire("b", 2)), [ir.x(1), gate])
+    with pytest.raises(ir.CircuitError, match="outside the circuit"):
+        sim.run(c, sim.basis_state(c, [0, 0]))
+
+
 @pytest.mark.parametrize("n", [0, 1, 65])
 @pytest.mark.parametrize("dim", [7, 8, 9, 33, ir.MAX_DIM])
 def test_run_batch_matches_scalar_steps_on_high_dims(dim, n):
@@ -361,6 +406,30 @@ def test_scalar_run_matches_batch_and_big_int_on_flagship_adders(scheme, carry_i
     for digits, batch_row in zip(ins.tolist(), batch.tolist()):
         assert sim.run(circ, sim.basis_state(circ, digits)).digits == tuple(batch_row)
     assert (batch == oracle.adder_outputs(layout, ins)).all()
+
+
+K240 = int("10" * 120, 2)
+
+
+@pytest.mark.parametrize("mode,scheme,carry_in", [
+    pytest.param(bb.MODE_AB, cmp.SCHEME_231, False, id="a+b-231"),
+    pytest.param(bb.MODE_AB, cmp.SCHEME_241, False, id="a+b-241"),
+    pytest.param(bb.MODE_PLUS_K, cmp.SCHEME_231, False, id="+k-231"),
+    pytest.param(bb.MODE_PLUS_K, cmp.SCHEME_241, True, id="+k-241-carry-in"),
+])
+def test_scalar_run_matches_batch_on_n240_flagships(mode, scheme, carry_in):
+    # The four n=240 carry-out adders CI verifies at scale, +K with the constant 1010...10.
+    plan = bb.plan_blocks(mode, scheme, 240)
+    if mode == bb.MODE_AB:
+        circ = bb.build_block_adder(plan, carry_in, True)
+    else:
+        circ = bb.build_block_plus_k(plan, K240, carry_in, True)
+    layout = plan.layout(carry_in, True)
+    ins = oracle.adder_inputs(layout, circ.width, np.random.default_rng(240), 3)
+    batch, _ = oracle.run_rows(circ, ins)
+    assert [sim.run(circ, sim.basis_state(circ, digits)).digits for digits in ins.tolist()] == [
+        tuple(row) for row in batch.tolist()]
+    assert (batch == oracle.adder_outputs(layout, ins, K240)).all()
 
 
 @pytest.mark.parametrize("circ", [
