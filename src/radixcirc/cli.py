@@ -80,9 +80,9 @@ def _block_plan(args) -> bb.BlockPlan:
     return plan
 
 
-def build_kind(args, gates: bool = True) -> tuple[Circuit, AdderWiring | None]:
-    """Construct the circuit named by ``args.kind``, with the layout its builder placed the gates
-    by (None for the compressors); without ``gates``, a block kind's wires alone, from its plan."""
+def build_kind(args, wires_only: bool = False) -> tuple[Circuit, AdderWiring | None]:
+    """Construct the circuit named by ``args.kind``, with the layout its builder placed the gates by
+    (None for the compressors).  ``wires_only`` skips a block kind's gates; other kinds ignore it."""
     kind = args.kind
     if kind == "compress231":
         return cmp.build_compress_231(), None
@@ -100,12 +100,10 @@ def build_kind(args, gates: bool = True) -> tuple[Circuit, AdderWiring | None]:
             built = build_plus_k(args.n, _require_k(args), *carries)
         return built.circuit, built.wiring
     plan = _block_plan(args)
-    layout = plan.layout(*carries)
-    k = None if kind == "block-adder" else _require_k(args)
-    if not gates:
+    layout, k = plan.layout(*carries), None if kind == "block-adder" else _require_k(args)
+    if wires_only:
         return layout.new_circuit(plan.scheme.y), layout
-    circ = bb.build_block_adder(plan, *carries) if k is None else bb.build_block_plus_k(plan, k, *carries)
-    return circ, layout
+    return bb.build_block_adder(plan, *carries) if k is None else bb.build_block_plus_k(plan, k, *carries), layout
 
 
 # --- oracles ---------------------------------------------------------------
@@ -162,7 +160,7 @@ def expected_outputs(kind: str, k: int | None, layout: AdderWiring | None, ins: 
 
 def run_verify(args) -> int:
     kind = args.kind
-    circ, layout = build_kind(args, gates=not args.circuit)
+    circ, layout = build_kind(args, wires_only=bool(args.circuit))
     if args.circuit:
         dims, circ = circ.dims, ir.loads(Path(args.circuit).read_text())
         _require(circ.dims == dims, "circuit file wire dims do not match kind flags")
