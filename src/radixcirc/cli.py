@@ -4,8 +4,9 @@ Exit codes: 0 on success or a passing verification, 1 when verification
 finds a counterexample, 2 on usage errors or an infeasible build request,
 141 when the reader of standard output closes it early.
 
-Sampling draws each input wire's bits as whole 64-row words from numpy's
-default PCG64 generator, so a (seed, samples) pair reproduces the same run.
+Sampling draws each input wire's bits from ``random.Random(seed)``, one
+``getrandbits(samples)`` per input wire in ascending wire order, so a (seed, samples) pair
+reproduces the same run.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ import functools
 import itertools
 import operator
 import os
+import random
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import block_builder as bb
 from . import compress as cmp
@@ -111,8 +111,8 @@ def build_kind(args, wires_only: bool = False) -> tuple[Circuit, AdderWiring | N
 def _input_levels(width: int, cols: list[int], exhaustive: bool, samples: int, seed: int) -> sim.Levels:
     """Binary inputs on wires ``cols``, each as ``[ones ^ x, x]`` for its bits ``x``, and 0 on
     every other wire, ``[ones]``.  Row i of the exhaustive sweep holds the bits of i, most
-    significant first (``itertools.product`` order); sampled, each input wire's 64-row words
-    are drawn in turn from PCG64 with ``seed``."""
+    significant first (``itertools.product`` order); sampled, each input wire's bits are one
+    ``getrandbits(samples)`` of ``random.Random(seed)``, drawn in ``cols`` order."""
     free = len(cols)
     if exhaustive:
         _require(free <= 20, f"exhaustive sweep over 2^{free} inputs exceeds {EXHAUSTIVE_LIMIT}")
@@ -122,11 +122,11 @@ def _input_levels(width: int, cols: list[int], exhaustive: bool, samples: int, s
             # Index bits k-1..0 of 2^(k+1) rows: the first 2^k rows twice, then bit k.
             bits = [((1 << (1 << k)) - 1) << (1 << k)] + [p | p << (1 << k) for p in bits]
     else:
-        n = samples
-        words = np.random.default_rng(seed).integers(0, ~np.uint64(0), (free, -(-n // 64)), np.uint64, endpoint=True)
-        bits = [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in words]
+        _require(samples <= EXHAUSTIVE_LIMIT, f"--samples {samples} exceeds {EXHAUSTIVE_LIMIT}")
+        n, rng = samples, random.Random(seed)
+        bits = [rng.getrandbits(n) for _ in cols]
     ones = (1 << n) - 1
-    level = {w: x & ones for w, x in zip(cols, bits)}
+    level = dict(zip(cols, bits))
     return sim.Levels([[ones ^ level[w], level[w]] if w in level else [ones] for w in range(width)], n)
 
 

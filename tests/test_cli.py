@@ -3,8 +3,10 @@ import itertools
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +99,11 @@ def test_exhaustive_rows_are_itertools_product_order(free):
 
 def test_sampled_rows_are_seeded_words():
     ins = cli._input_levels(5, [0, 2, 4], False, 130, 9)
-    words = np.random.default_rng(9).integers(0, ~np.uint64(0), (3, 3), np.uint64, endpoint=True)
+    rng = random.Random(9)
     ones = (1 << 130) - 1
     assert len(ins) == 130 and ins.wires[1] == ins.wires[3] == [ones]
-    for w, drawn in zip([0, 2, 4], words):
-        x = sum(int(x) << 64 * i for i, x in enumerate(drawn)) & ones
+    for w in [0, 2, 4]:
+        x = rng.getrandbits(130)
         assert ins.wires[w] == [ones ^ x, x]
 
 
@@ -414,6 +416,7 @@ def test_unparsable_json_exits_2(tmp_path, capsys, text, argv):
     pytest.param(["build", "--kind", "block-plus-k", "--n", "60", "--scheme", "241", "--k", "-1"], id="block-plus-k-negative"),
     pytest.param(["build", "--kind", "block-adder", "--n", "30", "--scheme", "259"], id="unknown-scheme"),
     pytest.param(["verify", "--kind", "compress231", "--samples", "5", "--seed", "-3"], id="negative-seed"),
+    pytest.param(["verify", "--kind", "compress231", "--samples", "1048577"], id="samples-over-row-limit"),
 ])
 def test_out_of_range_flags_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -441,6 +444,30 @@ def test_module_entry_point_runs_cli_once():
                            "--kind", "compress231", "--exhaustive"], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0 and "PASS compress231" in proc.stdout, proc.stderr
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # The runtime needs only the standard library: with numpy unimportable, sampled verify,
+    # build, stats and simulate all run.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        from radixcirc import cli
+        out = sys.argv[1]
+        codes = [cli.main(argv) for argv in (
+            ["verify", "--kind", "block-adder", "--n", "30", "--scheme", "231", "--samples", "200", "--seed", "1"],
+            ["build", "--kind", "compress231", "--out", out],
+            ["stats", out],
+            ["simulate", out, "--input", "1,0,1"],
+        )]
+        print(codes)
+    """)
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "c.json")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS block-adder: 200 cases\n")
+    assert proc.stdout.endswith("2,1,0\n[0, 0, 0, 0]\n")
 
 
 def test_closed_stdout_ends_quietly():
