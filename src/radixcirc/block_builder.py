@@ -234,7 +234,7 @@ def _emit(plan: BlockPlan, k: int | None, carry_in: bool, carry_out: bool) -> Ci
         gates.append(swap(slots[j], wiring.carry_out))
         gates += decompress[j] + carry_out_gates(wiring, k=k_block(j)) + compress[j]
     gates += [g for blk in decompress for g in blk]
-    return ir.extend(circ, ir.cancel_inverses(gates, dims))
+    return ir.place(circ, gates)
 
 
 def build_block_adder(plan: BlockPlan, carry_in: bool = False, carry_out: bool = False) -> Circuit:

@@ -85,13 +85,13 @@ def gates_compress_241(a: int, b: int) -> list[Gate]:
 def build_compress_231() -> Circuit:
     """The 2-3-1 group compressor on binary-input qutrits A, B, C."""
     circ = ir.new_circuit([Wire(n, 3) for n in "ABC"])
-    return ir.extend(circ, gates_compress_231(0, 1, 2))
+    return ir.place(circ, gates_compress_231(0, 1, 2))
 
 
 def build_compress_241() -> Circuit:
     """The 2-4-1 group compressor on binary-input ququart A and qubit B."""
     circ = ir.new_circuit([Wire("A", 4), Wire("B", 2)])
-    return ir.extend(circ, gates_compress_241(0, 1))
+    return ir.place(circ, gates_compress_241(0, 1))
 
 
 # The one scheme registry: each built scheme's group gate emitter.

@@ -8,8 +8,9 @@ conditioned on up to two control wires holding specific digit values.
 ``image`` alone defines what a flip or increment does to a digit.
 
 Circuits are treated as immutable once built; every function here is pure
-except ``extend``, which validates gates and appends them to the circuit it
-was given during construction and returns it for chaining.
+except ``extend`` and ``place``, which validate gates and append them to the
+circuit they were given during construction and return it for chaining.
+Within one build, equal gates from the constructors are one object (``gate``).
 """
 from __future__ import annotations
 
@@ -84,16 +85,24 @@ class Gate:
         return self._wires
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def gate(kind: str, targets: tuple[int, ...], params: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> Gate:
+    """The one ``Gate`` with these fields: a bounded unique table (hash-consing) behind the
+    constructors below and ``invert_gates``.  ``place`` empties it as every build ends, so
+    equal gates of one build are one object and no gate outlives its build here."""
+    return Gate(kind, targets, params, controls)
+
+
 def flip(target: int, i: int, j: int, controls: Iterable[tuple[int, int]] = ()) -> Gate:
-    return Gate(FLIP, (target,), (i, j), tuple(controls))
+    return gate(FLIP, (target,), (i, j), tuple(controls))
 
 
 def incr(target: int, k: int, controls: Iterable[tuple[int, int]] = ()) -> Gate:
-    return Gate(INCR, (target,), (k,), tuple(controls))
+    return gate(INCR, (target,), (k,), tuple(controls))
 
 
 def swap(t0: int, t1: int, controls: Iterable[tuple[int, int]] = ()) -> Gate:
-    return Gate(SWAP, (t0, t1), (), tuple(controls))
+    return gate(SWAP, (t0, t1), (), tuple(controls))
 
 
 def x(target: int, controls: Iterable[tuple[int, int]] = ()) -> Gate:
@@ -179,17 +188,35 @@ def new_circuit(wires: Sequence[Wire], input_bounds: Sequence[int] = ()) -> Circ
     return Circuit(tuple(wires), [], tuple(input_bounds))
 
 
+def by_id(gates: Sequence[Gate]) -> dict[int, Gate]:
+    """Each distinct gate object of ``gates`` by its ``id``, in order of first use: work that
+    depends only on the gate is done once per object and reused for its every use."""
+    return dict(zip(map(id, gates), gates))
+
+
 def extend(c: Circuit, gates: Iterable[Gate]) -> Circuit:
-    for g in gates:
+    """Validates each distinct gate object once, then appends every gate; an invalid one
+    raises ``CircuitError`` and appends none."""
+    gates = list(gates)
+    for g in by_id(gates).values():
         c.validate_gate(g)
-        c.gates.append(g)
+    c.gates += gates
     return c
+
+
+def place(c: Circuit, gates: Sequence[Gate]) -> Circuit:
+    """``c`` extended by ``gates`` less their adjacent inverse pairs: the end of every
+    build, which empties the gate table."""
+    try:
+        return extend(c, cancel_inverses(gates, c.dims))
+    finally:
+        gate.cache_clear()
 
 
 def invert_gates(gates: Sequence[Gate], dims: Sequence[int]) -> list[Gate]:
     """The gates in reverse order, each inverted: an increment by k becomes one by
     d-k on its dim-d target; flips and swaps are self-inverse."""
-    return [Gate(INCR, g.targets, (dims[g.targets[0]] - g.params[0],), g.controls) if g.kind == INCR else g
+    return [gate(INCR, g.targets, (dims[g.targets[0]] - g.params[0],), g.controls) if g.kind == INCR else g
             for g in reversed(gates)]
 
 
@@ -239,7 +266,7 @@ def depth(c: Circuit) -> int:
     level = [0] * c.width
     for g in c.gates:
         touched = g.wires()
-        layer = 1 + max(level[w] for w in touched)
+        layer = 1 + max(map(level.__getitem__, touched))
         for w in touched:
             level[w] = layer
     return max(level, default=0)
@@ -314,8 +341,10 @@ def dumps(c: Circuit) -> str:
     [[kind, targets, params, [[wire, value]]]], "gates": [row]}``: each distinct gate is
     one table row, in order of first use.  ``{`` and each key, wire and row start a
     line, ``gates`` is one line, and ``json.dumps`` writes every value."""
+    # Looked up by value once per object, so equal gates that are distinct objects share a row.
     rows: dict[Gate, int] = {}
-    index = [rows.setdefault(g, len(rows)) for g in c.gates]
+    row = {i: rows.setdefault(g, len(rows)) for i, g in by_id(c.gates).items()}
+    index = list(map(row.__getitem__, map(id, c.gates)))
     wires = ",\n".join(json.dumps([w.name, w.dim]) for w in c.wires)
     table = ",\n".join(json.dumps([g.kind, g.targets, g.params, g.controls]) for g in rows)
     return (f'{{\n"format": {FORMAT},\n"wires": [\n{wires}\n],\n"table": [\n{table}\n],\n'

@@ -21,7 +21,7 @@ and touch exactly those with a carry-out (the CLA at most those without).
 
 The block builder places ``cla_gates`` and ``carry_out_gates`` on its block
 layouts; ``build_*`` place an emitter on the canonical layout, less its
-adjacent inverse pairs (``ir.cancel_inverses``).  All gates
+adjacent inverse pairs (``ir.place``).  All gates
 emitted here are binary (flips of levels 0/1 with value-1 controls), so they
 are safe on wires of any capacity >= 2.
 """
@@ -313,8 +313,7 @@ def _canonical(n: int, n_a: int, carry_in: bool, carry_out: bool, n_ancilla: int
 
 def _placed(wiring: AdderWiring, gates: list[Gate]) -> BuiltAdder:
     """The circuit of ``wiring``'s wires holding ``gates`` less their adjacent inverse pairs."""
-    circ = wiring.new_circuit()
-    return BuiltAdder(ir.extend(circ, ir.cancel_inverses(gates, circ.dims)), wiring)
+    return BuiltAdder(ir.place(wiring.new_circuit(), gates), wiring)
 
 
 def build_cla_adder(n: int, carry_in: bool = False, carry_out: bool = False) -> BuiltAdder:

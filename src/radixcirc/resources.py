@@ -10,6 +10,7 @@ pre-expansion depth and say so.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import ir
@@ -63,13 +64,13 @@ class ResourceReport:
 
 
 def report(c: Circuit, ancilla_generated: int | None = None) -> ResourceReport:
-    """Exact per-bucket gate counts plus depth and touched-dim maximum."""
-    dims = c.dims
+    """Exact per-bucket gate counts plus depth and touched-dim maximum; each distinct gate
+    object is bucketed once and counted as often as the circuit uses it."""
+    dims, uses = c.dims, Counter(map(id, c.gates))
     counts: dict[tuple[int, int], int] = {}
-    for g in c.gates:
-        dim_class = max(dims[w] for w in g.wires())
-        key = (g.arity, dim_class)
-        counts[key] = counts.get(key, 0) + 1
+    for i, g in ir.by_id(c.gates).items():
+        key = (g.arity, max(map(dims.__getitem__, g.wires())))
+        counts[key] = counts.get(key, 0) + uses[i]
     return ResourceReport(
         width=c.width,
         depth=ir.depth(c),

@@ -4,11 +4,12 @@ for many at once, for verification sweeps.  Both read what a flip or increment
 does to a digit from ``ir.image``.
 
 ``run`` compiles a circuit on its first run into one tuple per gate, ``(w0, v0, w1, v1,
-t, u, table)``: where w0 holds v0 and w1 holds v1, it swaps wires t and u when ``table``
-is None, else maps t's digit by ``table``, the ``ir.image``; a missing control names wire
-``width``, a slot held at 0.  The program is cached on the circuit, keyed by its wires,
-gate list and gate count, so ``ir.extend`` recompiles.  A compile costs about as much as
-three gate-by-gate walks, so only a circuit object that is run again gains from it.
+t, u, table)``, built once per distinct gate object and shared by its uses: where w0
+holds v0 and w1 holds v1, it swaps wires t and u when ``table`` is None, else maps t's
+digit by ``table``, the ``ir.image``; a missing control names wire ``width``, a slot
+held at 0.  The program is cached on the circuit, keyed by its wires,
+gate list and gate count, so ``ir.extend`` recompiles.  A compile costs more than a
+gate-by-gate walk, so only a circuit object that is run again gains from it.
 
 ``run_batch`` is bit-sliced (Biham, FSE 1997) and takes and returns
 ``Levels``, its only batch form: ``wires[w][v]`` is a Python int whose bit r is
@@ -29,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ir import SWAP, Circuit, CircuitError, image
+from .ir import SWAP, Circuit, CircuitError, by_id, image
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,11 @@ def run(c: Circuit, s: BasisState) -> BasisState:
     """The state after ``c``: each gate whose controls hold swaps or maps its targets by ``ir.image``."""
     key, got = (c.wires, c.gates, len(c.gates)), c.__dict__.get("_program")
     if got is None or got[0] != key:
-        dims, pad, program, by_dim = c.dims, (c.width, 0), [], {}
+        dims, pad, ops, by_dim = c.dims, (c.width, 0), {}, {}
         # Wire -> its dim's image tables by params (a swap's () is None); a lookup checks the wire.
         on = {w: by_dim.setdefault(d, {(): None}) for w, d in enumerate(dims)}
         try:
-            for g in c.gates:
+            for i, g in by_id(c.gates).items():
                 ctl, t, u = g.controls, g.targets[0], g.targets[-1]
                 tables, _ = on[t], on[u]
                 if g.params not in tables:
@@ -68,10 +69,10 @@ def run(c: Circuit, s: BasisState) -> BasisState:
                 w1, v1 = ctl[1] if len(ctl) == 2 else pad
                 if ctl:
                     on[w0], on[w1 if len(ctl) == 2 else w0]
-                program.append((w0, v0, w1, v1, t, u, tables[g.params]))
+                ops[i] = (w0, v0, w1, v1, t, u, tables[g.params])
         except KeyError:
             raise CircuitError("a gate touches a wire outside the circuit") from None
-        got = c.__dict__["_program"] = key, dims, program
+        got = c.__dict__["_program"] = key, dims, list(map(ops.__getitem__, map(id, c.gates)))
     _, dims, program = got
     if s.dims != dims:
         raise ValueError("state dims do not match circuit wires")

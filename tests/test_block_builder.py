@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from radixcirc import block_builder as bb
 from radixcirc import compress as cmp
 from radixcirc import ir
+from radixcirc import qubit_adders as qa
 
 import oracle
 
@@ -229,6 +230,43 @@ def test_build_makes_each_compressor_and_sub_adder_once(monkeypatch):
         calls.update(block_gates=0, cla_gates=0, carry_out_gates=0)
         build(plan)
         assert calls == {"block_gates": plan.c, "cla_gates": plan.c, "carry_out_gates": plan.c - 1}
+
+
+def test_built_adders_hold_one_gate_object_per_distinct_gate():
+    # The +K 2-4-1 adder's decompressors come from ir.invert_gates, which shares objects too.
+    for distinct, circ in [
+        (2517, bb.build_block_adder(bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, 240), carry_out=True)),
+        (1568, bb.build_block_plus_k(bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 240), int("10" * 120, 2), True, True)),
+    ]:
+        assert len({id(g) for g in circ.gates}) == len(set(circ.gates)) == distinct < len(circ.gates)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bb.build_block_adder(bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, 30), True, True),
+    lambda: bb.build_block_plus_k(bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 60), 5, True, True),
+    lambda: qa.build_cla_adder(8, True, True), lambda: qa.build_plus_k(8, 5, True, True),
+    lambda: qa.build_ripple_adder(8, True, True), cmp.build_compress_231, cmp.build_compress_241,
+], ids=["block-adder", "block-plus-k", "cla-adder", "plus-k", "ripple-adder", "compress231", "compress241"])
+def test_gate_table_is_empty_after_every_builder(build):
+    # Scoped to one build, the table keeps no gate between builds, so a later build pays in full.
+    ir.cx(0, 1)
+    assert ir.gate.cache_info().currsize > 0
+    build()
+    assert ir.gate.cache_info().currsize == 0
+
+
+def test_validation_runs_once_per_distinct_gate(monkeypatch):
+    # Building and loading a block adder validate each distinct gate once, however often it is used.
+    calls = []
+    validate = ir.Circuit.validate_gate
+    monkeypatch.setattr(ir.Circuit, "validate_gate", lambda self, g: calls.append(g) or validate(self, g))
+    for n in (60, 240):
+        calls.clear()
+        circ = bb.build_block_adder(bb.plan_blocks(bb.MODE_AB, cmp.SCHEME_231, n), carry_out=True)
+        assert len(calls) == len(set(circ.gates)) < len(circ.gates) / 3
+        calls.clear()
+        ir.loads(ir.dumps(circ))
+        assert len(calls) == len(set(circ.gates))
 
 
 # Every feasible plan up to n=240: both modes, both schemes.

@@ -72,6 +72,39 @@ def test_extend_validates_against_dims():
     assert len(c.gates) == 1
 
 
+def test_extend_rejects_invalid_gate_after_repeats():
+    # extend validates each distinct object once: a new object after 500 uses of one is still checked.
+    c = ir.new_circuit(three_wires())
+    ok = ir.incr(1, 2, [(0, 1)])
+    for bad in (ir.flip(0, 0, 2), ir.incr(0, 1, [(1, 3)]), ir.swap(0, 1), ir.incr(1, 3), Gate("flip", (3,), (0, 1))):
+        with pytest.raises(CircuitError):
+            ir.extend(c, [ok] * 500 + [bad] + [ok])
+        assert c.gates == []
+    assert len(ir.extend(c, [ok] * 500).gates) == 500
+
+
+def test_constructors_share_one_object_per_gate():
+    made = [(ir.flip(2, 0, 2, [(0, 1)]), Gate("flip", (2,), (0, 2), ((0, 1),))),
+            (ir.incr(1, 2, [(0, 1), (2, 3)]), Gate("incr", (1,), (2,), ((0, 1), (2, 3)))),
+            (ir.swap(0, 1), Gate("swap", (0, 1))), (ir.x(0), Gate("flip", (0,), (0, 1))),
+            (ir.cx(0, 1), Gate("flip", (1,), (0, 1), ((0, 1),))),
+            (ir.ccx(0, 1, 2), Gate("flip", (2,), (0, 1), ((0, 1), (1, 1))))]
+    for g, same in made:
+        assert g == same and hash(g) == hash(same) and g is not same
+    assert ir.cx(0, 1) is ir.flip(1, 0, 1, [(0, 1)]) is ir.x(1, ((0, 1),))
+    assert ir.invert_gates([ir.incr(1, 1)], (2, 3))[0] is ir.incr(1, 2)
+
+
+def test_dumps_and_report_do_not_depend_on_object_sharing():
+    built = bb.build_block_plus_k(bb.plan_blocks(bb.MODE_PLUS_K, cmp.SCHEME_241, 60), 12345, True, True)
+    fresh = ir.extend(ir.new_circuit(built.wires), [Gate(g.kind, g.targets, g.params, g.controls) for g in built.gates])
+    loaded = ir.loads(ir.dumps(built))
+    assert len({id(g) for g in fresh.gates}) == len(built.gates) > len({id(g) for g in built.gates})
+    for c in (fresh, loaded):
+        assert ir.dumps(c) == ir.dumps(built)
+        assert resources.report(c) == resources.report(built)
+
+
 def test_input_bounds_default_and_validation():
     c = ir.new_circuit(three_wires())
     assert c.input_bounds == (2, 2, 2)
